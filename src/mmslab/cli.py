@@ -12,19 +12,19 @@ Instances are JSON files {label, m, agents: [{class, ...spec}]} or builtin
 names such as "submodular_6", "grid27", "421", "half_cap:2,2,2",
 "n_minus_1:3", "floor_n3:6" -- the whole reproduction suite runs without any
 data files.  Rationals are encoded as exact "p/q" strings.  Exit codes:
-0 success, 2 budget refusal, 3 impossibility, 4 verification failure.
+0 success, 1 malformed input or unsupported request, 2 budget refusal,
+3 impossibility, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Allocation, BudgetExceeded, Instance, ItemSet, Partition
+from .core import MAX_ITEMS, Allocation, BudgetExceeded, Instance, ItemSet, Partition
 from .counterexamples import (
     HalfCapValuation,
     MaxBlockThirdsValuation,
@@ -131,9 +131,13 @@ def agent_from_json(obj: dict, m: int) -> ValuationOracle:
     if "clauses" in obj:
         return XOSValuation([[parse_frac(w) for w in c] for c in obj["clauses"]])
     if "table" in obj:
-        table = [Fraction(0)] * (1 << m)
-        for mask, x in obj["table"].items():
-            table[int(mask)] = parse_frac(x)
+        entries = {}
+        for key, x in obj["table"].items():
+            mask = int(key)
+            if not 0 <= mask < 1 << m:
+                raise ValueError(f"table key {key!r} outside 0..{(1 << m) - 1}")
+            entries[mask] = parse_frac(x)
+        table = (entries.get(mask, 0) for mask in range(1 << m))
         return TableValuation(m, table, declared_class=declared)
     if "bundles" in obj:
         return BundleMaxValuation(
@@ -154,7 +158,13 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(obj: dict) -> Instance:
-    m = int(obj["m"])
+    if not isinstance(obj, dict):
+        raise ValueError("an instance is a JSON object")
+    m = obj.get("m")
+    if type(m) is not int or not 1 <= m <= MAX_ITEMS:
+        raise ValueError(f'instance needs an integer "m" in 1..{MAX_ITEMS}, got {m!r}')
+    if not isinstance(obj.get("agents"), list):
+        raise ValueError('instance needs a list of "agents"')
     agents = tuple(agent_from_json(a, m) for a in obj["agents"])
     return Instance(m, agents, label=obj.get("label", ""))
 
@@ -226,12 +236,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 
 
 def _budget(args) -> SearchBudget:
-    jobs = args.jobs or int(os.environ.get("MMSLAB_JOBS", "1"))
-    return SearchBudget(
-        max_assignments=args.max_assignments,
-        mms_states=args.max_states,
-        parallel_width=jobs,
-    )
+    return SearchBudget(max_assignments=args.max_assignments, mms_states=args.max_states)
 
 
 # --- commands -----------------------------------------------------------------
@@ -289,6 +294,11 @@ def _solve(inst: Instance, mode: str, d, partitions, max_states: int):
         return cert
     if inst.n == 3:
         return dispatch_three(inst, mode, d, partitions=partitions, max_states=max_states)
+    if mode == "one-half-half":
+        raise ValueError(
+            f"no protocol guarantees one-half-half to {inst.n} agents; "
+            "use --alpha uniform-half"
+        )
     if inst.n == 4:
         order = sorted(range(4), key=lambda i: (d[i], i))
         counts_sorted = (3, 3, 4, 4)
@@ -494,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker hint (also MMSLAB_JOBS); runs are deterministic")
         p.add_argument("--max-states", type=int, default=5**14,
                        help="cap on the d^m partition search space")
         p.add_argument("--max-assignments", type=int, default=10_000_000,

@@ -27,6 +27,9 @@ from .valuations import (
 
 GRID_EPS = Fraction(1, 12)
 PROBE_EPS = Fraction(1, 100)
+# shared return values (Fractions are immutable), so that oracle caches hold
+# references rather than one new object per cached set
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 class OnesValuation(ValuationOracle):
@@ -36,7 +39,7 @@ class OnesValuation(ValuationOracle):
         super().__init__(m, declared_class="subadditive")
 
     def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(1) if mask else Fraction(0)
+        return _ONE if mask else _ZERO
 
     def _key(self):
         return self.m
@@ -51,11 +54,11 @@ class HalfCapValuation(ValuationOracle):
 
     def _value_mask(self, mask: int) -> Fraction:
         if mask == 0:
-            return Fraction(0)
+            return _ZERO
         for block in self.blocks:
             if mask & block == block:
-                return Fraction(1)
-        return Fraction(1, 2)
+                return _ONE
+        return _HALF
 
     def _key(self):
         return (self.m, self.blocks)
@@ -225,7 +228,8 @@ def _grid_inner_table(axis: int, idx: int, eps: Fraction) -> list[Fraction]:
     for mask in range(512):
         if mask.bit_count() == 5:
             comp = full ^ mask
-            table[mask] = 1 - (high if comp in bstar_local else low)
+            # 1 - v(complement), where 1 - high == low and 1 - low == high
+            table[mask] = low if comp in bstar_local else high
     return table
 
 

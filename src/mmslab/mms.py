@@ -1,12 +1,19 @@
 """Exact maximin-share computation and guarantee verification.
 
 `mms_value` maximizes, over all partitions of the ground set into at most d
-parts, the minimum part value.  The search is exact: a depth-first
-direct-assignment enumeration (item 0 pinned to part 0) pruned by the bound
-min_j v(S_j | unassigned), which is valid because valuations are monotone.
-Budgets refuse instead of approximating.  A second, independent engine
-(`mms_value_rgs`) enumerates restricted-growth strings in a different order
-with no pruning; the two must agree, and tests hold them to that.
+parts, the minimum part value.  The search is exact and runs on the oracle's
+integer view (`ValuationOracle.int_view`: v(S) times a common denominator),
+memoized in a dict that lives only as long as the search.  It is a
+depth-first walk over restricted-growth strings: items keep their order, and
+an item may open a new part only as the first empty one, so each set
+partition is visited once, under its lexicographically smallest labelling.
+The bound min_j v(S_j | unassigned) prunes a subtree that cannot strictly
+improve on the incumbent; it is valid because valuations are monotone.  The
+result is therefore the lexicographically first optimal assignment of items
+to parts.  Budgets refuse instead of approximating.  A second, independent
+engine (`mms_value_rgs`) enumerates restricted-growth strings on the
+`Fraction` values with no pruning; the two must agree, and tests hold them
+to that.
 
 Verification works with raw values throughout: an allocation meets a
 guarantee (alpha, P) when v_i(A_i) >= alpha_i * min-part-value(v_i, P_i) for
@@ -28,7 +35,7 @@ from .core import (
     threshold_vector,
     validate_allocation,
 )
-from .valuations import ValuationOracle
+from .valuations import MaskMemo, ValuationOracle
 
 # Default cap on the raw assignment space d^m; covers every partition search
 # up to 14 items with 5 parts, and smaller combinations such as 6^6.
@@ -80,8 +87,9 @@ def mms_value(
         return MmsResult(Fraction(0), Partition(tuple(parts), ground))
     _check_budget(m, d, max_states)
 
-    value_of = v.value_mask
-    best: Fraction | None = None
+    view = v.int_view()
+    value_of = MaskMemo(view.value)
+    best = None
     best_masks: tuple[int, ...] | None = None
     masks = [0] * d
     masks[0] = 1 << items[0]
@@ -89,29 +97,33 @@ def mms_value(
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << items[i])
 
-    def walk(i: int) -> None:
+    def walk(i: int, used: int) -> None:
+        # parts 0..used-1 are open; part `used` is the only one item i may open
         nonlocal best, best_masks
         if i == m:
-            value = min(value_of(mask) for mask in masks)
+            value = min([value_of[mask] for mask in masks])
             if best is None or value > best:
                 best = value
                 best_masks = tuple(masks)
             return
-        rest = suffix[i]
         if best is not None:
-            bound = min(value_of(mask | rest) for mask in masks)
-            if bound <= best:
+            rest = suffix[i]
+            if min([value_of[mask | rest] for mask in masks]) <= best:
                 return
         bit = 1 << items[i]
-        for j in range(d):
+        for j in range(used):
             masks[j] |= bit
-            walk(i + 1)
+            walk(i + 1, used)
             masks[j] ^= bit
+        if used < d:
+            masks[used] = bit
+            walk(i + 1, used + 1)
+            masks[used] = 0
 
-    walk(1)
+    walk(1, 1)
     assert best is not None and best_masks is not None
     parts = tuple(ItemSet(mask, ground.m) for mask in best_masks)
-    return MmsResult(best, Partition(parts, ground))
+    return MmsResult(Fraction(best, view.denom), Partition(parts, ground))
 
 
 def mms_value_rgs(v: ValuationOracle, ground: ItemSet, d: int) -> MmsResult:

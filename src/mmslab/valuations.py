@@ -12,28 +12,87 @@ assumed; the checkers in this module verify it exhaustively at desk scale:
 Checks are opt-in operations rather than constructor-time mandates: the
 27-item instance cannot be checked globally, only bundle by bundle (the
 structured mode below, which is exact for `BundleMaxValuation`).
+
+Every oracle also has an integer view (`int_view`), which the exact searches
+in `mms` and `oracle` run on: a common denominator D and a function mask ->
+v(S) * D.  It is built on first use, never in a constructor.  Additive, XOS,
+budget-additive, coverage, table, bundle-max and thirds-rounded oracles
+rescale their own parameters to integers; any other oracle gets the default,
+D = 1 over its `Fraction` values, and runs through the same search code.
+`value_mask` and its per-oracle cache stay the `Fraction` interface.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .core import ItemSet, SubadditivityWitness
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _denominator(values) -> int:
+    """The least common denominator of exact rationals."""
+    return lcm(*(f.denominator for f in values))
 
 
-def _int_table(values: list[Fraction]) -> list[int]:
-    """Rescale a table of exact rationals to integers (common denominator)."""
-    denom = 1
-    for f in values:
-        denom = _lcm(denom, f.denominator)
+def _scale(values, denom: int) -> list[int]:
+    """Each rational times `denom` (a multiple of its denominator), as an int."""
     return [f.numerator * (denom // f.denominator) for f in values]
+
+
+def _fractions(values) -> tuple[Fraction, ...]:
+    """`values` as exact rationals, sharing the ones that already are (they are
+    immutable), so a dense table of a few distinct values stays small."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
+def _bit_sum(weights, mask: int):
+    """Sum of `weights[g]` over the set bits g of `mask`."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+class IntView:
+    """An oracle's values on a common denominator: value(mask) = v(mask) * denom.
+
+    Integer-valued for every concrete family in this package.  The base-class
+    default is denom 1 over the oracle's own `Fraction` values (`integral`
+    False), which the searches handle with the same code.  A plain class, not
+    a dataclass: generating a dataclass's methods adds ~1 ms to every import.
+    """
+
+    __slots__ = ("denom", "value", "integral")
+
+    def __init__(self, denom: int, value: Callable[[int], object], integral: bool = True):
+        self.denom = denom
+        self.value = value
+        self.integral = integral
+
+    def at_least(self, t: Fraction):
+        """The view-scale threshold x with v(S) >= t iff value(S) >= x."""
+        x = Fraction(t) * self.denom
+        return -(-x.numerator // x.denominator) if self.integral else x
+
+
+class MaskMemo(dict):
+    """mask -> fn(mask), computed on first use; a search owns one and drops it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, mask: int):
+        value = self[mask] = self.fn(mask)
+        return value
 
 
 def local_mask(global_mask: int, positions: tuple[int, ...]) -> int:
@@ -58,6 +117,7 @@ class ValuationOracle:
         self.declared_class = declared_class
         self._fn = fn
         self._cache: dict[int, Fraction] = {}
+        self._view: IntView | None = None
 
     def _value_mask(self, mask: int) -> Fraction:
         if self._fn is None:
@@ -75,6 +135,15 @@ class ValuationOracle:
         if s.m != self.m:
             raise ValueError(f"set over {s.m} items queried on oracle over {self.m}")
         return self.value_mask(s.mask)
+
+    def int_view(self) -> IntView:
+        """The integer view the exact searches run on, built on first use."""
+        if self._view is None:
+            self._view = self._int_view()
+        return self._view
+
+    def _int_view(self) -> IntView:
+        return IntView(1, self.value_mask, integral=False)
 
     def dense_table(self) -> list[Fraction]:
         """All 2^m values; only sensible for small m."""
@@ -104,12 +173,12 @@ class AdditiveValuation(ValuationOracle):
         super().__init__(len(self.weights), declared_class="additive")
 
     def _value_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return Fraction(_bit_sum(self.weights, mask))
+
+    def _int_view(self) -> IntView:
+        denom = _denominator(self.weights)
+        weights = _scale(self.weights, denom)
+        return IntView(denom, lambda mask: _bit_sum(weights, mask))
 
     def _key(self):
         return self.weights
@@ -130,17 +199,12 @@ class XOSValuation(ValuationOracle):
         super().__init__(m, declared_class="xos")
 
     def _value_mask(self, mask: int) -> Fraction:
-        best = Fraction(0)
-        for clause in self.clauses:
-            total = Fraction(0)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                total += clause[low.bit_length() - 1]
-                rest ^= low
-            if total > best:
-                best = total
-        return best
+        return Fraction(max(_bit_sum(clause, mask) for clause in self.clauses))
+
+    def _int_view(self) -> IntView:
+        denom = _denominator(w for clause in self.clauses for w in clause)
+        clauses = [_scale(clause, denom) for clause in self.clauses]
+        return IntView(denom, lambda mask: max(_bit_sum(c, mask) for c in clauses))
 
     def _key(self):
         return self.clauses
@@ -157,7 +221,7 @@ class TableValuation(ValuationOracle):
     def __init__(self, m: int, table, declared_class: str = "unknown"):
         if m > 16:
             raise ValueError("table valuations support at most 16 items")
-        self.table = tuple(Fraction(x) for x in table)
+        self.table = _fractions(table)
         if len(self.table) != 1 << m:
             raise ValueError(f"table must have {1 << m} entries, got {len(self.table)}")
         if self.table[0] != 0:
@@ -173,6 +237,10 @@ class TableValuation(ValuationOracle):
 
     def _value_mask(self, mask: int) -> Fraction:
         return self.table[mask]
+
+    def _int_view(self) -> IntView:
+        denom = _denominator(self.table)
+        return IntView(denom, _scale(self.table, denom).__getitem__)
 
     def dense_table(self) -> list[Fraction]:
         return list(self.table)
@@ -199,7 +267,7 @@ class BundleMaxValuation(ValuationOracle):
         if union != (1 << m) - 1:
             raise ValueError("reference bundles must cover all items")
         self.positions = tuple(b.items() for b in self.bundles)
-        self.inner_tables = tuple(tuple(Fraction(x) for x in t) for t in inner_tables)
+        self.inner_tables = tuple(_fractions(t) for t in inner_tables)
         for b, t in zip(self.bundles, self.inner_tables):
             r = len(b)
             if len(t) != 1 << r:
@@ -220,6 +288,11 @@ class BundleMaxValuation(ValuationOracle):
                 best = v
         return best
 
+    def _int_view(self) -> IntView:
+        denom = _denominator(x for t in self.inner_tables for x in t)
+        tables = [(pos, _scale(t, denom)) for pos, t in zip(self.positions, self.inner_tables)]
+        return IntView(denom, lambda mask: max(t[local_mask(mask, pos)] for pos, t in tables))
+
     def _key(self):
         return (tuple(b.mask for b in self.bundles), self.inner_tables)
 
@@ -235,12 +308,13 @@ class BudgetAdditiveValuation(ValuationOracle):
         super().__init__(len(self.weights), declared_class="submodular")
 
     def _value_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return min(total, self.cap)
+        return min(Fraction(_bit_sum(self.weights, mask)), self.cap)
+
+    def _int_view(self) -> IntView:
+        denom = _denominator(self.weights + (self.cap,))
+        weights = _scale(self.weights, denom)
+        cap = self.cap.numerator * (denom // self.cap.denominator)
+        return IntView(denom, lambda mask: min(_bit_sum(weights, mask), cap))
 
     def _key(self):
         return (self.weights, self.cap)
@@ -256,12 +330,18 @@ class CoverageValuation(ValuationOracle):
         super().__init__(m, declared_class="submodular")
 
     def _value_mask(self, mask: int) -> Fraction:
+        return Fraction(self._covered(mask))
+
+    def _covered(self, mask: int) -> int:
         covered = 0
         while mask:
             low = mask & -mask
             covered |= self.covers[low.bit_length() - 1]
             mask ^= low
-        return Fraction(covered.bit_count())
+        return covered.bit_count()
+
+    def _int_view(self) -> IntView:
+        return IntView(1, self._covered)
 
     def _key(self):
         return self.covers
@@ -362,7 +442,7 @@ def is_monotone(v: ValuationOracle, samples: int = 2000, seed: int = 0) -> Check
 
 def _subadditive_scan(values: list[Fraction], m: int) -> tuple[int, int] | None:
     """Find (s, t) with v(s) + v(t) < v(s | t) over all pairs of masks, or None."""
-    ints = _int_table(values)
+    ints = _scale(values, _denominator(values))
     size = 1 << m
     for s in range(1, size):
         vs = ints[s]
@@ -445,7 +525,7 @@ def is_submodular(v: ValuationOracle) -> CheckResult:
     if m > 13:
         raise ValueError(f"submodularity scan over {m} items is infeasible; cap is 13")
     table = v.dense_table()
-    ints = _int_table(table)
+    ints = _scale(table, _denominator(table))
     full = (1 << m) - 1
     checked = m * 3 ** (m - 1)
     for g in range(m):
@@ -502,6 +582,18 @@ class ThirdRoundedValuation(ValuationOracle):
         if v >= Fraction(1, 2):
             return Fraction(2, 3)
         return Fraction(1, 3)
+
+    def _int_view(self) -> IntView:
+        base = self.base.int_view()
+        value, one = base.value, base.denom
+
+        def thirds(mask: int) -> int:
+            if mask == 0:
+                return 0
+            x = value(mask)
+            return 3 if x >= one else 2 if 2 * x >= one else 1
+
+        return IntView(3, thirds)
 
     def _key(self):
         return self.base._key()

@@ -216,3 +216,55 @@ def test_partitions_file(tmp_path, demo3, capsys):
     assert rc == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["partitions"][0] == [[0, 1, 2], [3, 4], [5, 6, 7]]
+
+
+@pytest.mark.parametrize(
+    "agents, d",
+    [
+        ([random_valuation("additive", 12, seed=s) for s in (20, 21, 22, 23)], "3,3,4,4"),
+        ([random_valuation("additive", 10, seed=24)] * 5, "5,5,5,5,5"),
+    ],
+)
+def test_solve_one_half_half_refused_beyond_three(tmp_path, capsys, agents, d):
+    # no protocol here gives (1, 1/2, ...) to four or more agents: refuse,
+    # never hand back the uniform-1/2 certificate instead
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(instance_to_json(Instance(agents[0].m, tuple(agents)))))
+    rc = main(["solve", str(path), "--alpha", "one-half-half", "--d", d])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "one-half-half" in captured.err
+    assert main(["solve", str(path), "--d", d]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"agents": [{"class": "additive", "weights": ["1", "2"]}]},
+        {"m": "2", "agents": [{"class": "additive", "weights": ["1", "2"]}]},
+        {"m": 2.5, "agents": [{"class": "additive", "weights": ["1", "2"]}]},
+        {"m": 0, "agents": []},
+        {"m": 2},
+        {"m": 2, "agents": [{"class": "subadditive", "table": {"4": "1"}}]},
+        {"m": 2, "agents": [{"class": "subadditive", "table": {"-1": "1"}}]},
+        [2, []],
+    ],
+)
+def test_malformed_instance_is_one_error_line(tmp_path, capsys, instance):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(instance))
+    rc = main(["mms", str(path), "--agent", "0", "--d", "2"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_table_keys_in_range_load(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(
+        {"m": 2, "agents": [{"class": "subadditive", "table": {"1": "1/2", "3": "1"}}]}
+    ))
+    assert main(["mms", str(path), "--agent", "0", "--d", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("0 :")
