@@ -209,7 +209,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def certificate_from_json(obj: dict, m: int):
+def certificate_from_json(obj: dict, m: int, n: int):
+    """(allocation, alpha, partitions) of a certificate for n agents over m items."""
+    if not isinstance(obj, dict):
+        raise ValueError("a certificate is a JSON object")
+    for key in ("alpha", "allocation", "partitions"):
+        if not isinstance(obj.get(key), list):
+            raise ValueError(f'certificate needs a list "{key}"')
+        if len(obj[key]) != n:
+            raise ValueError(f'certificate "{key}" has {len(obj[key])} entries for {n} agents')
     alpha = [parse_frac(a) for a in obj["alpha"]]
     allocation = Allocation(tuple(ItemSet.of(m, b) for b in obj["allocation"]))
     partitions = [Partition.of(m, *[list(part) for part in p]) for p in obj["partitions"]]
@@ -389,7 +397,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.instance)
     obj = json.loads(Path(args.certificate).read_text())
-    allocation, alpha, partitions = certificate_from_json(obj, inst.m)
+    allocation, alpha, partitions = certificate_from_json(obj, inst.m, inst.n)
     try:
         result = verify_alpha_mms_P(allocation, inst, alpha, partitions)
     except ValueError as exc:

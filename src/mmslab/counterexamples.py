@@ -20,6 +20,7 @@ from .core import Allocation, Instance, ItemSet, Partition
 from .valuations import (
     AdditiveValuation,
     BundleMaxValuation,
+    IntView,
     TableValuation,
     ValuationOracle,
     local_mask,
@@ -29,7 +30,13 @@ GRID_EPS = Fraction(1, 12)
 PROBE_EPS = Fraction(1, 100)
 # shared return values (Fractions are immutable), so that oracle caches hold
 # references rather than one new object per cached set
-_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_ZERO, _THIRD, _HALF, _TWO_THIRDS, _ONE = (
+    Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)
+)
+
+
+def _nonempty(mask: int) -> int:
+    return 1 if mask else 0
 
 
 class OnesValuation(ValuationOracle):
@@ -40,6 +47,9 @@ class OnesValuation(ValuationOracle):
 
     def _value_mask(self, mask: int) -> Fraction:
         return _ONE if mask else _ZERO
+
+    def _int_view(self) -> IntView:
+        return IntView(1, _nonempty)
 
     def _key(self):
         return self.m
@@ -60,6 +70,19 @@ class HalfCapValuation(ValuationOracle):
                 return _ONE
         return _HALF
 
+    def _int_view(self) -> IntView:
+        blocks = self.blocks
+
+        def halves(mask: int) -> int:
+            if mask == 0:
+                return 0
+            for block in blocks:
+                if mask & block == block:
+                    return 2
+            return 1
+
+        return IntView(2, halves)
+
     def _key(self):
         return (self.m, self.blocks)
 
@@ -71,10 +94,21 @@ class MaxBlockThirdsValuation(ValuationOracle):
         self.blocks = tuple(int(b) for b in blocks)
         if not self.blocks:
             raise ValueError("at least one block required")
+        union = 0
+        for block in self.blocks:
+            if block < 0 or block >> m or block.bit_count() != 3:
+                raise ValueError(f"block {block} is not a set of 3 items among 0..{m - 1}")
+            if union & block:
+                raise ValueError(f"block {block} overlaps an earlier block")
+            union |= block
         super().__init__(m, declared_class="subadditive")
 
     def _value_mask(self, mask: int) -> Fraction:
         return Fraction(max((mask & block).bit_count() for block in self.blocks), 3)
+
+    def _int_view(self) -> IntView:
+        blocks = self.blocks
+        return IntView(3, lambda mask: max([(mask & block).bit_count() for block in blocks]))
 
     def _key(self):
         return (self.m, self.blocks)
@@ -209,13 +243,13 @@ def grid_bstar_family(axis: int, idx: int) -> list[ItemSet]:
     return seen
 
 
-def _grid_inner_table(axis: int, idx: int, eps: Fraction) -> list[Fraction]:
+def _grid_inner_table(axis: int, idx: int, eps: Fraction) -> tuple[Fraction, ...]:
     """Dense local table of one slice's inner function (512 entries)."""
     own = grid_slice(axis, idx)
     positions = own.items()
-    low, high = Fraction(1, 2) - eps, Fraction(1, 2) + eps
+    low, high = _HALF - eps, _HALF + eps
     bstar_local = {local_mask(b.mask, positions) for b in grid_bstar_family(axis, idx)}
-    table: list[Fraction] = [Fraction(0)] * 512
+    table: list[Fraction] = [_ZERO] * 512
     full = 511
     for mask in range(1, 512):
         size = mask.bit_count()
@@ -224,13 +258,13 @@ def _grid_inner_table(axis: int, idx: int, eps: Fraction) -> list[Fraction]:
         elif size == 4:
             table[mask] = high if mask in bstar_local else low
         elif size >= 6:
-            table[mask] = high if size < 9 else Fraction(1)
+            table[mask] = high if size < 9 else _ONE
     for mask in range(512):
         if mask.bit_count() == 5:
             comp = full ^ mask
             # 1 - v(complement), where 1 - high == low and 1 - low == high
             table[mask] = low if comp in bstar_local else high
-    return table
+    return tuple(table)
 
 
 def instance_27(eps: Fraction = GRID_EPS) -> Instance:
@@ -244,12 +278,14 @@ def instance_27(eps: Fraction = GRID_EPS) -> Instance:
     """
     if not (0 <= eps <= Fraction(1, 6)):
         raise ValueError("eps must lie in [0, 1/6] to keep the inner functions subadditive")
+    # in each slice's own (sorted) item order the distinguished 4-sets, and so
+    # the inner table, are the same for all nine slices: one table serves all
+    table = _grid_inner_table(0, 0, eps)
     agents = []
     for axis in range(3):
         slices = [grid_slice(axis, idx) for idx in range(3)]
-        tables = [_grid_inner_table(axis, idx, eps) for idx in range(3)]
         agents.append(
-            BundleMaxValuation(GRID_M, slices, tables, declared_class="subadditive")
+            BundleMaxValuation(GRID_M, slices, [table] * 3, declared_class="subadditive")
         )
     return Instance(GRID_M, tuple(agents), label=f"grid27(eps={eps})")
 
@@ -365,13 +401,13 @@ def _submodular6_pair_value(agent: int, mask: int) -> Fraction:
     small = [g for g in ItemSet(mask, 6) if g % 2 == 0]
     large = [g for g in ItemSet(mask, 6) if g % 2 == 1]
     if len(large) == 2:
-        return Fraction(1)
+        return _ONE
     if len(small) == 1 and len(large) == 1:
         i = large[0] // 2
         matched_small = (2 * i) if agent < 2 else 2 * ((i + 1) % 3)
         if small[0] == matched_small:
-            return Fraction(1)
-    return Fraction(2, 3)
+            return _ONE
+    return _TWO_THIRDS
 
 
 def submodular6_table(agent: int) -> list[Fraction]:
@@ -381,15 +417,15 @@ def submodular6_table(agent: int) -> list[Fraction]:
     for mask in range(64):
         size = mask.bit_count()
         if size == 0:
-            table.append(Fraction(0))
+            table.append(_ZERO)
         elif size == 1:
             g = mask.bit_length() - 1
-            table.append(Fraction(1, 3) if g % 2 == 0 else Fraction(2, 3))
+            table.append(_THIRD if g % 2 == 0 else _TWO_THIRDS)
         elif size == 2:
             table.append(_submodular6_pair_value(agent, mask))
         elif size == 3:
             if mask == all_small:
-                table.append(Fraction(1))
+                table.append(_ONE)
             else:
                 table.append(
                     max(
@@ -398,7 +434,7 @@ def submodular6_table(agent: int) -> list[Fraction]:
                     )
                 )
         else:
-            table.append(Fraction(1))
+            table.append(_ONE)
     return table
 
 

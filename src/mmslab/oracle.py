@@ -8,13 +8,19 @@ keeps the discard branch ((n+1)^m) and must agree -- tests hold both
 implementations to that.
 
 `exists_alpha_mms` and `best_alpha` share one walk on that n^m space
-(`_leaves`): depth first over the items, in the lexicographic order of the
-assignment vector, updating the agents' bundle masks in place.  It visits
-every leaf, so `visited` counts the whole space a "not_exists" or a best
-ratio rests on.  Each agent's bundle is scored on its integer view, memoized
-for the one search: against its threshold rounded up to the view's scale,
-or as its ratio to mu_i brought to one common denominator, so that ratios
-compare as integers.  The `prune=False` variant keeps plain `Fraction`
+(`_walk`): depth first over the items, in the lexicographic order of the
+assignment vector, updating the agents' bundle masks in place.  Each agent's
+bundle is scored on its integer view, memoized for the one search: 1 or 0 as
+it meets its threshold rounded up to the view's scale, or its ratio to mu_i
+brought to one common denominator, so that ratios compare as integers.  The
+walk skips a subtree that cannot beat the floor (0 for existence, the
+incumbent for the best ratio): some agent stays at or below it even with
+every unassigned item, or more agents sit at or below it than items remain.
+A skipped subtree's leaves still count into `visited`, so `visited` accounts
+for the whole space a "not_exists" or a best ratio rests on, and status,
+value and witness are those of the plain lexicographic enumeration; `nodes`
+counts the nodes the walk entered.  Each oracle's mu is computed once and
+remembered on the oracle.  The `prune=False` variant keeps plain `Fraction`
 arithmetic over `itertools.product`, as the independent reference.
 """
 
@@ -33,7 +39,7 @@ from .core import (
     demand_vector,
     threshold_vector,
 )
-from .mms import DEFAULT_MMS_STATES, mms_value
+from .mms import DEFAULT_MMS_STATES, _check_budget, mms_value
 from .valuations import MaskMemo
 
 
@@ -48,13 +54,16 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistsResult:
     """Outcome of an existence search over all allocations.
 
     status: "exists" (witness attached), "not_exists" (full space visited),
     or "refused" (budget).  `space` is the enumerated assignment space,
     `pruned` the size of the discard branch removed by monotone dominance.
+    `visited` counts the assignments accounted for, skipped subtrees
+    included; `nodes` the search nodes the `prune` walk entered (0 when no
+    walk ran).
     """
 
     status: str
@@ -64,18 +73,20 @@ class ExistsResult:
     pruned: int
     mu: tuple[Fraction, ...] | None
     reason: str = ""
+    nodes: int = 0
 
     @property
     def exists(self) -> bool:
         return self.status == "exists"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BestAlphaResult:
     """Exact maximum over allocations of min_i v_i(A_i) / mu_i^{d_i}.
 
     `value` is None when every agent has mu = 0 (every allocation satisfies
-    every threshold vacuously, so the ratio is unbounded).
+    every threshold vacuously, so the ratio is unbounded).  `visited` and
+    `nodes` count as in `ExistsResult`.
     """
 
     status: str  # "ok" | "refused"
@@ -85,52 +96,84 @@ class BestAlphaResult:
     space: int
     mu: tuple[Fraction, ...] | None
     reason: str = ""
+    nodes: int = 0
+
+
+def _mu(v, d: int, budget: SearchBudget) -> Fraction:
+    """mu_v^d of v's full ground set, computed once per oracle.
+
+    A remembered value is handed out only after the same d^m budget check
+    that `mms_value` makes, so a smaller budget still refuses.
+    """
+    if 1 < d <= v.m:
+        _check_budget(v.m, d, budget.mms_states)
+    value = v._mu_memo.get(d)
+    if value is None:
+        value = v._mu_memo[d] = mms_value(
+            v, ItemSet.full(v.m), d, max_states=budget.mms_states
+        ).value
+    return value
 
 
 def _mu_vector(inst: Instance, d, budget: SearchBudget):
-    ground = inst.ground()
-    return tuple(
-        mms_value(v, ground, d_i, max_states=budget.mms_states).value
-        for v, d_i in zip(inst.agents, d)
-    )
+    return tuple(_mu(v, d_i, budget) for v, d_i in zip(inst.agents, d))
 
 
-def _leaves(masks: list[int], scores: list[MaskMemo], m: int):
-    """Walk every assignment of items 0..m-1 to the agents, depth first.
+def _walk(scores: list[MaskMemo], m: int, floor, stop: bool):
+    """Depth first over every assignment of items 0..m-1 to the agents.
 
     Leaves come in lexicographic order of the assignment vector (item 0 is
     the most significant digit, agent 0 first), the order of
-    `itertools.product`.  `masks[i]`, agent i's bundle, is updated in place,
-    two or four agents per step; each leaf yields min_i scores[i][masks[i]].
+    `itertools.product`.  A leaf scores min_i scores[i][A_i].  Each leaf
+    that strictly beats the floor becomes the new floor (`floor` None: the
+    first leaf does); with `stop` the walk ends at the first such leaf.
+
+    A subtree cannot beat the floor, and is skipped, when some agent scores
+    at most the floor even with every unassigned item added to its bundle
+    (valuations are monotone), or when more agents score at most the floor
+    than items remain (each of them needs one more).  A skipped subtree's
+    n^(m-k) leaves still count into `visited`, so that `visited` accounts
+    for the whole space behind the result; `nodes` counts the nodes entered.
+
+    Returns (best, best_masks, visited, nodes); best_masks is None when no
+    leaf beat the initial floor.
     """
-    n = len(masks)
-    last = n - 1
+    n = len(scores)
     full = (1 << m) - 1
-    masks[:] = [full] + [0] * last
-    vals = [score[mask] for score, mask in zip(scores, masks)]
-    digits = [0] * m
-    while True:
-        yield min(vals)
-        g = m - 1
-        while g >= 0 and digits[g] == last:
-            g -= 1
-        if g < 0:
-            return
-        if g < m - 1:
-            # items g+1.. wrap around from the last agent to agent 0
-            wrap = full ^ ((2 << g) - 1)
-            masks[last] ^= wrap
-            masks[0] |= wrap
-            digits[g + 1 :] = [0] * (m - 1 - g)
-            vals[last] = scores[last][masks[last]]
-            vals[0] = scores[0][masks[0]]
-        a = digits[g]
-        bit = 1 << g
-        digits[g] = a + 1
-        masks[a] ^= bit
-        masks[a + 1] |= bit
-        vals[a] = scores[a][masks[a]]
-        vals[a + 1] = scores[a + 1][masks[a + 1]]
+    rests = [full >> k << k for k in range(m + 1)]  # items k..m-1
+    sizes = [n ** (m - k) for k in range(m + 1)]
+    masks = [0] * n
+    best, best_masks = floor, None
+    visited = nodes = 0
+
+    def enter(k: int) -> bool:
+        nonlocal best, best_masks, visited, nodes
+        nodes += 1
+        if k == m:
+            visited += 1
+            score = min([s[x] for s, x in zip(scores, masks)])
+            if best is None or score > best:
+                best, best_masks = score, tuple(masks)
+                return stop
+            return False
+        if best is not None:
+            rest = rests[k]
+            if min([s[x | rest] for s, x in zip(scores, masks)]) <= best or (
+                m - k < n and sum([s[x] <= best for s, x in zip(scores, masks)]) > m - k
+            ):
+                visited += sizes[k]
+                return False
+        bit = 1 << k
+        for a in range(n):
+            masks[a] |= bit
+            if enter(k + 1):
+                return True
+            masks[a] ^= bit
+        return False
+
+    enter(0)
+    del enter  # break the closure's cycle through itself, so the memos are freed now
+    return best, best_masks, visited, nodes
 
 
 def _assignment_masks(assignment, n: int) -> list[int]:
@@ -182,17 +225,16 @@ def exists_alpha_mms(
         return ExistsResult("exists", empty, visited, space, pruned, mu)
 
     if prune:
-        masks = [0] * n
         meets = []
         for v, t in zip(inst.agents, thresholds):
             view = v.int_view()
             meets.append(MaskMemo(lambda mask, f=view.value, x=view.at_least(t): f(mask) >= x))
-        for ok in _leaves(masks, meets, m):
-            visited += 1
-            if ok:
-                bundles = tuple(ItemSet(mask, m) for mask in masks)
-                return ExistsResult("exists", Allocation(bundles), visited, space, pruned, mu)
-        return ExistsResult("not_exists", None, visited, space, pruned, mu)
+        _, masks, leaves, nodes = _walk(meets, m, 0, stop=True)
+        visited += leaves
+        if masks is None:
+            return ExistsResult("not_exists", None, visited, space, pruned, mu, nodes=nodes)
+        bundles = tuple(ItemSet(mask, m) for mask in masks)
+        return ExistsResult("exists", Allocation(bundles), visited, space, pruned, mu, nodes=nodes)
 
     values = [v.value_mask for v in inst.agents]
     for assignment in product(range(base), repeat=m):
@@ -256,14 +298,14 @@ def best_alpha(
 
 
 def _best_alpha_walk(inst: Instance, mu, active: list[int], space: int) -> BestAlphaResult:
-    """The `prune` path of `best_alpha`: the same leaves, on integer views.
+    """The `prune` path of `best_alpha`: the same result, on integer views.
 
     Agent i's ratio is view_i(A_i) / (denom_i * mu_i).  Writing
     denom_i * mu_i = p_i / q_i and L = lcm of the p_i, the ratio equals
     view_i(A_i) * q_i * (L / p_i) / L, so every ratio is compared as an
     integer over the one denominator L.
     """
-    n, m = inst.n, inst.m
+    m = inst.m
     views = [v.int_view() for v in inst.agents]
     scales = {i: views[i].denom * mu[i] for i in active}
     common = lcm(*(x.numerator for x in scales.values()))
@@ -274,16 +316,8 @@ def _best_alpha_walk(inst: Instance, mu, active: list[int], space: int) -> BestA
             scores.append(MaskMemo(lambda mask, f=view.value, c=c: f(mask) * c))
         else:  # mu_i = 0: agent i never binds
             scores.append(MaskMemo(lambda mask: inf))
-    masks = [0] * n
-    best = None
-    best_masks: tuple[int, ...] = ()
-    visited = 0
-    for score in _leaves(masks, scores, m):
-        visited += 1
-        if best is None or score > best:
-            best = score
-            best_masks = tuple(masks)
+    best, best_masks, visited, nodes = _walk(scores, m, None, stop=False)
     bundles = tuple(ItemSet(mask, m) for mask in best_masks)
     return BestAlphaResult(
-        "ok", Fraction(best, common), Allocation(bundles), visited, space, mu
+        "ok", Fraction(best, common), Allocation(bundles), visited, space, mu, nodes=nodes
     )

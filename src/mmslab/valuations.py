@@ -16,10 +16,16 @@ structured mode below, which is exact for `BundleMaxValuation`).
 Every oracle also has an integer view (`int_view`), which the exact searches
 in `mms` and `oracle` run on: a common denominator D and a function mask ->
 v(S) * D.  It is built on first use, never in a constructor.  Additive, XOS,
-budget-additive, coverage, table, bundle-max and thirds-rounded oracles
-rescale their own parameters to integers; any other oracle gets the default,
-D = 1 over its `Fraction` values, and runs through the same search code.
-`value_mask` and its per-oracle cache stay the `Fraction` interface.
+budget-additive, coverage, table, bundle-max and thirds-rounded oracles, and
+the counterexample builtins, rescale their own parameters to integers; any
+other oracle gets the default, D = 1 over its `Fraction` values, and runs
+through the same search code.  `value_mask` and its per-oracle cache stay
+the `Fraction` interface.
+
+The exhaustive checks scan one dense integer table of the view (`Fraction`
+values brought to one denominator where the view has none); `value_mask`
+supplies the `Fraction`s only for a failure's witness.  A passing check
+returns one shared result per (mode, checked).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .core import ItemSet, SubadditivityWitness
@@ -45,7 +52,10 @@ def _scale(values, denom: int) -> list[int]:
 
 def _fractions(values) -> tuple[Fraction, ...]:
     """`values` as exact rationals, sharing the ones that already are (they are
-    immutable), so a dense table of a few distinct values stays small."""
+    immutable), so a dense table of a few distinct values stays small.  A
+    tuple of `Fraction`s is itself returned, so tables can be shared whole."""
+    if type(values) is tuple and all(type(x) is Fraction for x in values):
+        return values
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
@@ -118,6 +128,7 @@ class ValuationOracle:
         self._fn = fn
         self._cache: dict[int, Fraction] = {}
         self._view: IntView | None = None
+        self._mu_memo: dict[int, Fraction] = {}  # d -> mu^d of all items, see `oracle`
 
     def _value_mask(self, mask: int) -> Fraction:
         if self._fn is None:
@@ -347,7 +358,7 @@ class CoverageValuation(ValuationOracle):
         return self.covers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotonicityWitness:
     small: ItemSet
     large: ItemSet
@@ -355,7 +366,7 @@ class MonotonicityWitness:
     value_large: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmodularityWitness:
     s: ItemSet
     t: ItemSet
@@ -364,7 +375,7 @@ class SubmodularityWitness:
     marginal_t: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Outcome of a class check; `mode` flags how much ground was covered."""
 
@@ -375,6 +386,19 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+@lru_cache(maxsize=64)
+def _passed(mode: str, checked: int) -> CheckResult:
+    """One shared (immutable) result per passing check shape."""
+    return CheckResult(True, mode, checked)
+
+
+def _dense_ints(v: ValuationOracle) -> list:
+    """v(S) * D for all 2^m masks S on one common denominator D; m <= 16."""
+    view = v.int_view()
+    table = list(map(view.value, range(1 << v.m)))
+    return table if view.integral else _scale(table, _denominator(table))
 
 
 def is_monotone(v: ValuationOracle, samples: int = 2000, seed: int = 0) -> CheckResult:
@@ -388,21 +412,22 @@ def is_monotone(v: ValuationOracle, samples: int = 2000, seed: int = 0) -> Check
     """
     m = v.m
     if m <= 16:
-        table = v.dense_table()
+        ints = _dense_ints(v)
         for mask in range(1 << m):
             for g in range(m):
                 if not (mask >> g) & 1:
                     up = mask | (1 << g)
-                    if table[mask] > table[up]:
+                    if ints[mask] > ints[up]:
                         return CheckResult(
                             False,
                             "exhaustive",
                             (1 << m) * m,
                             MonotonicityWitness(
-                                ItemSet(mask, m), ItemSet(up, m), table[mask], table[up]
+                                ItemSet(mask, m), ItemSet(up, m),
+                                v.value_mask(mask), v.value_mask(up),
                             ),
                         )
-        return CheckResult(True, "exhaustive", (1 << m) * m)
+        return _passed("exhaustive", (1 << m) * m)
     if isinstance(v, BundleMaxValuation):
         checked = 0
         for positions, table in zip(v.positions, v.inner_tables):
@@ -421,7 +446,7 @@ def is_monotone(v: ValuationOracle, samples: int = 2000, seed: int = 0) -> Check
                             checked,
                             MonotonicityWitness(small, large, table[mask], table[mask | (1 << g)]),
                         )
-        return CheckResult(True, "structured", checked)
+        return _passed("structured", checked)
     rng = random.Random(seed)
     for _ in range(samples):
         mask = rng.getrandbits(m)
@@ -437,12 +462,11 @@ def is_monotone(v: ValuationOracle, samples: int = 2000, seed: int = 0) -> Check
                     ItemSet(low, m), ItemSet(up, m), v.value_mask(low), v.value_mask(up)
                 ),
             )
-    return CheckResult(True, "sampled", samples)
+    return _passed("sampled", samples)
 
 
-def _subadditive_scan(values: list[Fraction], m: int) -> tuple[int, int] | None:
+def _subadditive_scan(ints: list[int], m: int) -> tuple[int, int] | None:
     """Find (s, t) with v(s) + v(t) < v(s | t) over all pairs of masks, or None."""
-    ints = _scale(values, _denominator(values))
     size = 1 << m
     for s in range(1, size):
         vs = ints[s]
@@ -468,7 +492,7 @@ def is_subadditive(v: ValuationOracle, samples: int = 5000, seed: int = 0) -> Ch
         for positions, table in zip(v.positions, v.inner_tables):
             r = len(positions)
             checked += 1 << (2 * r)
-            bad = _subadditive_scan(list(table), r)
+            bad = _subadditive_scan(_scale(table, _denominator(table)), r)
             if bad is not None:
                 s, t = bad
                 a = ItemSet.of(m, (positions[j] for j in ItemSet(s, r)))
@@ -479,21 +503,21 @@ def is_subadditive(v: ValuationOracle, samples: int = 5000, seed: int = 0) -> Ch
                     checked,
                     SubadditivityWitness(a, b, table[s], table[t], table[s | t]),
                 )
-        return CheckResult(True, "structured", checked)
+        return _passed("structured", checked)
     if m <= 13:
-        table = v.dense_table()
-        bad = _subadditive_scan(table, m)
+        bad = _subadditive_scan(_dense_ints(v), m)
         if bad is not None:
             s, t = bad
+            value = v.value_mask
             return CheckResult(
                 False,
                 "exhaustive",
                 1 << (2 * m),
                 SubadditivityWitness(
-                    ItemSet(s, m), ItemSet(t, m), table[s], table[t], table[s | t]
+                    ItemSet(s, m), ItemSet(t, m), value(s), value(t), value(s | t)
                 ),
             )
-        return CheckResult(True, "exhaustive", 1 << (2 * m))
+        return _passed("exhaustive", 1 << (2 * m))
     rng = random.Random(seed)
     for _ in range(samples):
         s = rng.getrandbits(m)
@@ -511,7 +535,7 @@ def is_subadditive(v: ValuationOracle, samples: int = 5000, seed: int = 0) -> Ch
                     v.value_mask(s | t),
                 ),
             )
-    return CheckResult(True, "sampled", samples)
+    return _passed("sampled", samples)
 
 
 def is_submodular(v: ValuationOracle) -> CheckResult:
@@ -524,8 +548,7 @@ def is_submodular(v: ValuationOracle) -> CheckResult:
     m = v.m
     if m > 13:
         raise ValueError(f"submodularity scan over {m} items is infeasible; cap is 13")
-    table = v.dense_table()
-    ints = _scale(table, _denominator(table))
+    ints = _dense_ints(v)
     full = (1 << m) - 1
     checked = m * 3 ** (m - 1)
     for g in range(m):
@@ -538,6 +561,7 @@ def is_submodular(v: ValuationOracle) -> CheckResult:
             s = t
             while True:
                 if ints[s | bit] - ints[s] < marg_t:
+                    value = v.value_mask
                     return CheckResult(
                         False,
                         "exhaustive",
@@ -546,8 +570,8 @@ def is_submodular(v: ValuationOracle) -> CheckResult:
                             ItemSet(s, m),
                             ItemSet(t, m),
                             g,
-                            table[s | bit] - table[s],
-                            table[t | bit] - table[t],
+                            value(s | bit) - value(s),
+                            value(t | bit) - value(t),
                         ),
                     )
                 if s == 0:
@@ -556,7 +580,7 @@ def is_submodular(v: ValuationOracle) -> CheckResult:
             if t == 0:
                 break
             t = (t - 1) & rest
-    return CheckResult(True, "exhaustive", checked)
+    return _passed("exhaustive", checked)
 
 
 class ThirdRoundedValuation(ValuationOracle):

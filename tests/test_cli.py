@@ -268,3 +268,55 @@ def test_table_keys_in_range_load(tmp_path, capsys):
     ))
     assert main(["mms", str(path), "--agent", "0", "--d", "2"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("0 :")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cert: [1, 2],
+        lambda cert: {k: v for k, v in cert.items() if k != "alpha"},
+        lambda cert: {k: v for k, v in cert.items() if k != "allocation"},
+        lambda cert: {k: v for k, v in cert.items() if k != "partitions"},
+        lambda cert: dict(cert, alpha="1/2"),
+        lambda cert: dict(cert, allocation={"0": [0]}),
+        lambda cert: dict(cert, partitions=None),
+        lambda cert: dict(cert, alpha=cert["alpha"][:2]),
+        lambda cert: dict(cert, allocation=cert["allocation"] + [[]]),
+        lambda cert: dict(cert, partitions=cert["partitions"][:1]),
+    ],
+)
+def test_malformed_certificate_is_one_error_line(tmp_path, demo3, capsys, change):
+    cert = tmp_path / "cert.json"
+    assert main(["solve", str(demo3), "--d", "3,2,2", "--out", str(cert)]) == EXIT_OK
+    capsys.readouterr()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(change(json.loads(cert.read_text()))))
+    rc = main(["verify", str(demo3), str(bad)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("blocks", [[15], [3], [7, 14], [7 << 2]])
+def test_max_block_thirds_rejects_blocks_that_are_not_disjoint_triples(tmp_path, capsys, blocks):
+    # a 4-item block, a 2-item block, overlapping blocks, a block past item m-1
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"m": 4, "agents": [
+        {"class": "subadditive", "builtin": "max_block_thirds", "blocks": blocks}
+    ]}))
+    rc = main(["mms", str(path), "--agent", "0", "--d", "1"])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_oracle_output_keeps_its_fields_with_search_node_counts(capsys):
+    # `nodes` is a result field, not part of the command's output
+    rc = main(["oracle", "floor_n3:6", "--d", "6,6,6,6,6,2",
+               "--alpha", "1/100,1/100,1/100,1/100,1/100,1/2", "--format", "json"])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"exists": False, "visited": 6**6 + 1, "space": 6**6,
+                       "pruned": 7**6 - 6**6}

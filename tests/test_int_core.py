@@ -4,7 +4,9 @@
 `best_alpha`, run on each oracle's integer view.  These tests hold them to
 plain `Fraction` enumerations over `itertools.product`, on oracles whose
 values are not integers: unequal denominators, tables, bundle maxima, the
-thirds rounding, generic callables and the counterexample builtins.
+thirds rounding, generic callables and the counterexample builtins.  The
+class checkers run on integer tables; they are held to `Fraction` scans
+written here, failures and witnesses included.
 """
 
 import random
@@ -13,8 +15,10 @@ from itertools import product
 
 import pytest
 
-from mmslab.core import Instance, ItemSet
+from mmslab.core import Instance, ItemSet, SubadditivityWitness
 from mmslab.counterexamples import (
+    _grid_inner_table,
+    instance_27,
     instance_421,
     instance_floor_n3,
     instance_half_cap,
@@ -22,15 +26,21 @@ from mmslab.counterexamples import (
     instance_submodular_6,
 )
 from mmslab.mms import mms_value, mms_value_rgs
-from mmslab.oracle import best_alpha, exists_alpha_mms
+from mmslab.oracle import SearchBudget, best_alpha, exists_alpha_mms
 from mmslab.valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,
     BundleMaxValuation,
+    CheckResult,
     CoverageValuation,
+    MonotonicityWitness,
+    SubmodularityWitness,
     TableValuation,
     ValuationOracle,
     XOSValuation,
+    is_monotone,
+    is_subadditive,
+    is_submodular,
     third_transform,
 )
 
@@ -136,7 +146,11 @@ def test_fractional_weights_scale_to_one_denominator():
 
 
 def own_mu(inst: Instance, d) -> list[Fraction]:
-    return [own_mms(v, inst.ground(), d_i)[0] for v, d_i in zip(inst.agents, d)]
+    mus = {}  # equal oracles (and the same oracle) share one enumeration
+    for v, d_i in zip(inst.agents, d):
+        if (v, d_i) not in mus:
+            mus[v, d_i] = own_mms(v, inst.ground(), d_i)[0]
+    return [mus[v, d_i] for v, d_i in zip(inst.agents, d)]
 
 
 def own_leaves(inst: Instance):
@@ -172,7 +186,7 @@ def own_best(inst: Instance, mu):
     return best, best_masks, visited
 
 
-def assert_searches_match(inst: Instance, d, rng: random.Random) -> None:
+def assert_searches_match(inst: Instance, d, rng: random.Random, alphas=()) -> None:
     mu = own_mu(inst, d)
     best = best_alpha(inst, d)
     assert best.status == "ok" and list(best.mu) == mu
@@ -180,8 +194,9 @@ def assert_searches_match(inst: Instance, d, rng: random.Random) -> None:
         value, masks, visited = own_best(inst, mu)
         assert (best.value, best.visited) == (value, visited)
         assert [b.mask for b in best.witness] == masks
-    # thresholds that land exactly on attainable values, then just above
-    alphas = []
+    # the given thresholds, thresholds that land exactly on attainable
+    # values, then just above
+    alphas = list(alphas)
     if best.value is not None and best.value <= 1:
         alphas.append([best.value] * inst.n)
     for _ in range(3):
@@ -210,16 +225,44 @@ def test_allocation_walk_matches_plain_enumeration():
         assert_searches_match(inst, d, rng)
 
 
+# thresholds tried besides the drawn ones; at these the not-exists walk on
+# floor_n3(6) skips nearly every subtree
+GIVEN_ALPHAS = {"floor_n3(6)": [(Fraction(1, 100),) * 5 + (Fraction(1, 2),)]}
+
+
 @pytest.mark.parametrize(
     "inst, d",
     [
         (instance_421(), (4, 2, 1)),
         (instance_submodular_6(), (3, 3, 3)),
         (instance_half_cap((2, 2, 2)), (2, 2, 2)),
+        (instance_floor_n3(6), (6,) * 5 + (2,)),
+        (instance_n_minus_1(4), (3, 3, 3, 3)),
     ],
 )
 def test_allocation_walk_matches_plain_enumeration_on_builtins(inst, d):
-    assert_searches_match(inst, d, random.Random(3))
+    assert_searches_match(inst, d, random.Random(3), GIVEN_ALPHAS.get(inst.label, ()))
+
+
+def test_pruned_walk_counts_skipped_leaves_but_not_their_nodes():
+    inst = instance_floor_n3(6)
+    alpha = [Fraction(1, 100)] * 5 + [Fraction(1, 2)]
+    r = exists_alpha_mms(inst, alpha, [6] * 5 + [2])
+    assert r.status == "not_exists" and r.visited == r.space + 1 == 6**6 + 1
+    assert 0 < r.nodes < r.space // 10
+    plain = exists_alpha_mms(inst, alpha, [6] * 5 + [2], prune=False)
+    assert plain.status == "not_exists" and plain.nodes == 0
+    best = best_alpha(instance_half_cap((2, 2, 2)), (2, 2, 2))
+    assert best.visited == 3**8 and 0 < best.nodes < best.visited
+
+
+def test_mu_is_remembered_but_a_smaller_budget_still_refuses():
+    inst = instance_floor_n3(6)
+    d = [6] * 5 + [2]
+    assert best_alpha(inst, d).status == "ok"
+    small = SearchBudget(mms_states=6**6 - 1)
+    assert best_alpha(inst, d, budget=small).status == "refused"
+    assert exists_alpha_mms(inst, [0] * 6, d, budget=small).status == "refused"
 
 
 def test_allocation_walk_with_a_zero_mu_agent():
@@ -227,3 +270,167 @@ def test_allocation_walk_with_a_zero_mu_agent():
     v = AdditiveValuation([Fraction(1, 3), Fraction(2, 7), Fraction(5, 6), 1])
     inst = Instance(4, (v, AdditiveValuation([1, 0, 0, 0]), v))
     assert_searches_match(inst, (2, 2, 2), random.Random(4))
+
+
+# --- integer views and class checkers ---------------------------------------------
+
+
+def every_oracle() -> list[ValuationOracle]:
+    zoo = [v for m in (3, 5, 6) for seed in range(2) for v in oracle_zoo(m, seed)]
+    return zoo + builtin_oracles()
+
+
+def test_int_view_is_value_mask_times_denominator_on_every_mask():
+    for v in every_oracle():
+        view = v.int_view()
+        assert all(view.value(x) == v.value_mask(x) * view.denom for x in range(1 << v.m))
+    rng = random.Random(6)
+    for v in instance_27().agents:  # 2^27 masks: a seeded sample
+        view = v.int_view()
+        for _ in range(2000):
+            x = rng.getrandbits(27)
+            assert view.value(x) == v.value_mask(x) * view.denom
+
+
+def test_grid_slices_share_one_inner_table():
+    inst = instance_27()
+    for axis, v in enumerate(inst.agents):
+        for idx, table in enumerate(v.inner_tables):
+            assert table == _grid_inner_table(axis, idx, Fraction(1, 12))
+            assert table is inst.agents[0].inner_tables[0]
+
+
+def _on_bundle(positions, local: int, m: int) -> ItemSet:
+    return ItemSet.of(m, (positions[j] for j in ItemSet(local, len(positions))))
+
+
+def own_monotone(v: ValuationOracle) -> CheckResult:
+    """Covering pairs in mask-then-item order, on `Fraction` values."""
+    m = v.m
+    if m <= 16:
+        tables = [(tuple(range(m)), [v.value_mask(x) for x in range(1 << m)])]
+        mode = "exhaustive"
+    else:
+        tables, mode = list(zip(v.positions, v.inner_tables)), "structured"
+    checked = 0
+    for positions, table in tables:
+        r = len(positions)
+        checked += (1 << r) * r
+        for x in range(1 << r):
+            for g in range(r):
+                up = x | (1 << g)
+                if up != x and table[x] > table[up]:
+                    witness = MonotonicityWitness(
+                        _on_bundle(positions, x, m), _on_bundle(positions, up, m),
+                        table[x], table[up],
+                    )
+                    return CheckResult(False, mode, checked, witness)
+    return CheckResult(True, mode, checked)
+
+
+def own_subadditive(v: ValuationOracle) -> CheckResult:
+    """Every pair s <= t of nonempty masks, in order, on `Fraction` values."""
+    m = v.m
+    if m <= 13:
+        tables = [(tuple(range(m)), [v.value_mask(x) for x in range(1 << m)])]
+        mode = "exhaustive"
+    else:
+        tables, mode = list(zip(v.positions, v.inner_tables)), "structured"
+    checked = 0
+    for positions, table in tables:
+        r = len(positions)
+        checked += 1 << (2 * r)
+        for s in range(1, 1 << r):
+            for t in range(s, 1 << r):
+                if table[s] + table[t] < table[s | t]:
+                    witness = SubadditivityWitness(
+                        _on_bundle(positions, s, m), _on_bundle(positions, t, m),
+                        table[s], table[t], table[s | t],
+                    )
+                    return CheckResult(False, mode, checked, witness)
+    return CheckResult(True, mode, checked)
+
+
+def own_submodular(v: ValuationOracle) -> CheckResult:
+    """Every g and S <= T <= M - {g}, T then S descending, on `Fraction` values."""
+    m = v.m
+    table = [v.value_mask(x) for x in range(1 << m)]
+    checked = m * 3 ** (m - 1)
+    for g in range(m):
+        bit = 1 << g
+        rest = ((1 << m) - 1) ^ bit
+        for t in range(rest, -1, -1):
+            if t & ~rest:
+                continue
+            for s in range(t, -1, -1):
+                if s & ~t:
+                    continue
+                marg_s, marg_t = table[s | bit] - table[s], table[t | bit] - table[t]
+                if marg_s < marg_t:
+                    witness = SubmodularityWitness(
+                        ItemSet(s, m), ItemSet(t, m), g, marg_s, marg_t
+                    )
+                    return CheckResult(False, "exhaustive", checked, witness)
+    return CheckResult(True, "exhaustive", checked)
+
+
+def assert_checkers_match(v: ValuationOracle) -> None:
+    def fields(c: CheckResult):
+        return (c.ok, c.mode, c.checked, c.witness)
+
+    assert fields(is_monotone(v)) == fields(own_monotone(v))
+    assert fields(is_subadditive(v)) == fields(own_subadditive(v))
+    if v.m <= 13:
+        assert fields(is_submodular(v)) == fields(own_submodular(v))
+
+
+def broken_callables() -> list[ValuationOracle]:
+    """Set functions that break monotonicity, subadditivity or submodularity."""
+    out = []
+    for seed in range(24):
+        rng = random.Random(f"broken:{seed}")
+        m = rng.randint(1, 5)
+        table = [_frac(rng) for _ in range(1 << m)]
+        if seed % 3 == 0:  # monotone, usually neither subadditive nor submodular
+            table = [Fraction(0)] * (1 << m)
+            for x in range(1, 1 << m):
+                below = max(table[x & ~(1 << g)] for g in range(m) if x >> g & 1)
+                table[x] = below + (_frac(rng) if rng.random() < 0.5 else 0)
+        elif seed % 3 == 1:
+            table[0] = Fraction(0)
+        out.append(ValuationOracle(m, fn=lambda s, t=table: t[s.mask]))
+    return out
+
+
+def test_checkers_match_fraction_scans_on_every_class():
+    for v in every_oracle():
+        assert_checkers_match(v)
+
+
+def test_checkers_match_fraction_scans_on_broken_functions():
+    results = []
+    for v in broken_callables():
+        assert_checkers_match(v)
+        results.append((is_monotone(v).ok, is_subadditive(v).ok, is_submodular(v).ok))
+    # the corpus does exercise every failure path
+    assert not all(r[0] for r in results)
+    assert any(r[0] and not r[1] for r in results)
+    assert any(r[1] and not r[2] for r in results)
+
+
+def test_structured_checkers_match_fraction_scans():
+    # 17 items: a superadditive (monotone) 3-item bundle among 2-item bundles
+    # worth 1 per nonempty subset; structured mode for both checks
+    ones = [Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
+    squares = [Fraction(x.bit_count() ** 2, 9) for x in range(8)]
+    for at in (0, 3, 7):
+        tables = [ones] * 7
+        tables.insert(at, squares)
+        bundles, g = [], 0
+        for t in tables:
+            r = len(t).bit_length() - 1
+            bundles.append(list(range(g, g + r)))
+            g += r
+        v = BundleMaxValuation(17, bundles, tables)
+        assert_checkers_match(v)
+        assert is_monotone(v).ok and not is_subadditive(v).ok
