@@ -14,6 +14,10 @@ names such as "submodular_6", "grid27", "421", "half_cap:2,2,2",
 data files.  Rationals are encoded as exact "p/q" strings.  Exit codes:
 0 success, 1 malformed input or unsupported request, 2 budget refusal,
 3 impossibility, 4 verification failure.
+
+Each call of `main` builds the top-level parser and only the subparser that
+its first argument names; when that names no command it builds all of them,
+so help, usage and error text are always those of the full parser.
 """
 
 from __future__ import annotations
@@ -72,7 +76,30 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"{s!r} divides by zero") from None
+
+
+# --- JSON shape checks: a value of the wrong type is a ValueError -------------
+
+
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a JSON list, got {json.dumps(x)[:40]}")
+    return x
+
+
+def _json_ints(x, what: str) -> list[int]:
+    for g in _json_list(x, what):
+        if type(g) is not int:
+            raise ValueError(f"{what} must hold integers, got {json.dumps(g)[:40]}")
+    return x
+
+
+def _json_fracs(x, what: str) -> list[Fraction]:
+    return [parse_frac(w) for w in _json_list(x, what)]
 
 
 # --- agent (de)serialization -------------------------------------------------
@@ -110,27 +137,34 @@ def agent_to_json(v: ValuationOracle) -> dict:
 
 
 def agent_from_json(obj: dict, m: int) -> ValuationOracle:
+    if not isinstance(obj, dict):
+        raise ValueError("an agent spec is a JSON object")
     declared = obj.get("class", "unknown")
     builtin = obj.get("builtin")
     if builtin == "ones":
         return OnesValuation(m)
     if builtin == "half_cap":
-        return HalfCapValuation(m, obj["blocks"])
+        return HalfCapValuation(m, _json_ints(obj.get("blocks"), '"blocks"'))
     if builtin == "max_block_thirds":
-        return MaxBlockThirdsValuation(m, obj["blocks"])
+        return MaxBlockThirdsValuation(m, _json_ints(obj.get("blocks"), '"blocks"'))
     if builtin == "budget_additive":
+        if "cap" not in obj:
+            raise ValueError('a budget_additive agent needs a "cap"')
         return BudgetAdditiveValuation(
-            [parse_frac(w) for w in obj["weights"]], parse_frac(obj["cap"])
+            _json_fracs(obj.get("weights"), '"weights"'), parse_frac(obj["cap"])
         )
     if builtin == "coverage":
-        return CoverageValuation(m, obj["covers"])
+        return CoverageValuation(m, _json_ints(obj.get("covers"), '"covers"'))
     if builtin is not None:
         raise ValueError(f"unknown builtin agent spec {builtin!r}")
     if "weights" in obj:
-        return AdditiveValuation([parse_frac(w) for w in obj["weights"]])
+        return AdditiveValuation(_json_fracs(obj["weights"], '"weights"'))
     if "clauses" in obj:
-        return XOSValuation([[parse_frac(w) for w in c] for c in obj["clauses"]])
+        clauses = _json_list(obj["clauses"], '"clauses"')
+        return XOSValuation([_json_fracs(c, "a clause") for c in clauses])
     if "table" in obj:
+        if not isinstance(obj["table"], dict):
+            raise ValueError('"table" must be a JSON object of mask: value')
         entries = {}
         for key, x in obj["table"].items():
             mask = int(key)
@@ -140,10 +174,12 @@ def agent_from_json(obj: dict, m: int) -> ValuationOracle:
         table = (entries.get(mask, 0) for mask in range(1 << m))
         return TableValuation(m, table, declared_class=declared)
     if "bundles" in obj:
+        bundles = _json_list(obj["bundles"], '"bundles"')
+        tables = _json_list(obj.get("inner_tables"), '"inner_tables"')
         return BundleMaxValuation(
             m,
-            [ItemSet.of(m, b) for b in obj["bundles"]],
-            [[parse_frac(x) for x in t] for t in obj["inner_tables"]],
+            [ItemSet.of(m, _json_ints(b, "a bundle")) for b in bundles],
+            [_json_fracs(t, "an inner table") for t in tables],
             declared_class=declared,
         )
     raise ValueError("agent spec needs weights, clauses, table, bundles or builtin")
@@ -219,9 +255,16 @@ def certificate_from_json(obj: dict, m: int, n: int):
         if len(obj[key]) != n:
             raise ValueError(f'certificate "{key}" has {len(obj[key])} entries for {n} agents')
     alpha = [parse_frac(a) for a in obj["alpha"]]
-    allocation = Allocation(tuple(ItemSet.of(m, b) for b in obj["allocation"]))
-    partitions = [Partition.of(m, *[list(part) for part in p]) for p in obj["partitions"]]
+    allocation = Allocation(
+        tuple(ItemSet.of(m, _json_ints(b, "a bundle")) for b in obj["allocation"])
+    )
+    partitions = [_partition_from_json(p, m) for p in obj["partitions"]]
     return allocation, alpha, partitions
+
+
+def _partition_from_json(obj, m: int) -> Partition:
+    parts = _json_list(obj, "a partition")
+    return Partition.of(m, *[_json_ints(part, "a part") for part in parts])
 
 
 # --- helpers ------------------------------------------------------------------
@@ -271,10 +314,10 @@ def cmd_mms(args) -> int:
 
 
 def _load_partitions(path: str, m: int, n: int):
-    data = json.loads(Path(path).read_text())
+    data = _json_list(json.loads(Path(path).read_text()), "a partitions file")
     if len(data) != n:
         raise ValueError(f"partitions file has {len(data)} entries for {n} agents")
-    return tuple(Partition.of(m, *[list(part) for part in p]) for p in data)
+    return tuple(_partition_from_json(p, m) for p in data)
 
 
 def _solve(inst: Instance, mode: str, d, partitions, max_states: int):
@@ -505,63 +548,89 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mmslab", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common_args(p) -> None:
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--max-states", type=int, default=5**14,
+                   help="cap on the d^m partition search space")
+    p.add_argument("--max-assignments", type=int, default=10_000_000,
+                   help="cap on the brute-force assignment space")
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-states", type=int, default=5**14,
-                       help="cap on the d^m partition search space")
-        p.add_argument("--max-assignments", type=int, default=10_000_000,
-                       help="cap on the brute-force assignment space")
 
-    p = sub.add_parser("mms", help="exact max-min value for one agent")
+def _mms_args(p) -> None:
     p.add_argument("instance")
     p.add_argument("--agent", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_mms)
 
-    p = sub.add_parser("solve", help="run the matching protocol, emit a certificate")
+
+def _solve_args(p) -> None:
     p.add_argument("instance")
     p.add_argument("--alpha", choices=("uniform-half", "one-half-half"),
                    default="uniform-half")
     p.add_argument("--d", required=True, help="comma-separated demands, e.g. 3,2,2")
     p.add_argument("--partitions", help="JSON file with one partition per agent")
     p.add_argument("--out", help="write the certificate here instead of stdout")
-    common(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="re-check a certificate")
+
+def _verify_args(p) -> None:
     p.add_argument("instance")
     p.add_argument("certificate")
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("check-class", help="monotonicity and hierarchy checks")
+
+def _instance_arg(p) -> None:
     p.add_argument("instance")
-    common(p)
-    p.set_defaults(func=cmd_check_class)
 
-    p = sub.add_parser("counterexamples", help="run the impossibility suite")
+
+def _counterexamples_args(p) -> None:
     p.add_argument("--all", action="store_true", default=True)
-    common(p)
-    p.set_defaults(func=cmd_counterexamples)
 
-    p = sub.add_parser("oracle", help="brute-force existence / best-ratio search")
+
+def _oracle_args(p) -> None:
     p.add_argument("instance")
     p.add_argument("--d", required=True)
     p.add_argument("--alpha", help="comma-separated thresholds, e.g. 1/2,1/2,1/2")
     p.add_argument("--best-alpha", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_oracle)
+
+
+# name -> (help, adds the command's own arguments, handler), in the help's order
+COMMANDS = {
+    "mms": ("exact max-min value for one agent", _mms_args, cmd_mms),
+    "solve": ("run the matching protocol, emit a certificate", _solve_args, cmd_solve),
+    "verify": ("re-check a certificate", _verify_args, cmd_verify),
+    "check-class": ("monotonicity and hierarchy checks", _instance_arg, cmd_check_class),
+    "counterexamples": ("run the impossibility suite", _counterexamples_args,
+                        cmd_counterexamples),
+    "oracle": ("brute-force existence / best-ratio search", _oracle_args, cmd_oracle),
+}
+
+# the help shows the module docstring without its last paragraph
+_DESCRIPTION = __doc__.rsplit("\n\n", 1)[0] + "\n"
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or with `command` the top level plus that one subparser.
+
+    The top-level usage names every command either way, so whatever the
+    top-level parser prints for a command's arguments is the full parser's text.
+    """
+    parser = _Parser(prog="mmslab", description=_DESCRIPTION,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name, (help_text, add_args, handler) in COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            _common_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -121,6 +121,7 @@ def mms_value(
             masks[used] = 0
 
     walk(1, 1)
+    del walk  # break the closure's cycle through itself, so the memo is freed now
     assert best is not None and best_masks is not None
     parts = tuple(ItemSet(mask, ground.m) for mask in best_masks)
     return MmsResult(Fraction(best, view.denom), Partition(parts, ground))
@@ -167,6 +168,7 @@ def mms_value_rgs(v: ValuationOracle, ground: ItemSet, d: int) -> MmsResult:
             masks[j] ^= bit
 
     walk(1, 1)
+    del walk  # break the closure's cycle through itself, so the memo is freed now
     assert best is not None and best_masks is not None
     parts = tuple(ItemSet(mask, ground.m) for mask in best_masks)
     return MmsResult(best, Partition(parts, ground))

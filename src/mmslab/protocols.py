@@ -66,6 +66,24 @@ def _check_partition(p: Partition, m: int, parts: int, who: str) -> None:
         raise ValueError(f"partition for {who} must have {parts} parts, got {len(p)}")
 
 
+def _coarsen(v: ValuationOracle, p: Partition, parts: int, agent: int, trace: list) -> Partition:
+    """`p` with its two lowest-valued parts merged, ties to the lower index,
+    until `parts` remain; each merge is appended to `trace`.
+
+    The merged part takes the lower index.  v is monotone, so a merged part is
+    worth at least either of the two, and the minimum part never falls.
+    """
+    blocks = list(p.parts)
+    while len(blocks) > parts:
+        lowest = sorted(range(len(blocks)), key=lambda k: (v.value_mask(blocks[k].mask), k))
+        i, j = sorted(lowest[:2])
+        trace.append({"step": "coarsen", "agent": agent,
+                      "merged": [_items(blocks[i]), _items(blocks[j])]})
+        blocks[i] = blocks[i] | blocks[j]
+        del blocks[j]
+    return p if len(blocks) == len(p) else Partition(tuple(blocks), p.ground)
+
+
 def _seal(
     inst: Instance, bundles, alpha, partitions, trace
 ) -> ProtocolCertificate:
@@ -803,7 +821,10 @@ def dispatch_three(
     agent with the most parts gets her full minimum, the others half).
     Agents are permuted so the sorted demands line up with protocol roles;
     when no partitions are supplied, best-partition witnesses are computed
-    for the routed part counts, which never exceed the agents' demands.
+    for the routed part counts, which never exceed the agents' demands.  A
+    supplied partition with more parts than its role uses is coarsened
+    (`_coarsen`), each merge recorded in the trace after the dispatch step;
+    one with fewer parts is rejected.
     """
     if mode not in ("uniform-half", "one-half-half"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -816,6 +837,7 @@ def dispatch_three(
     name, counts = routed
     order, _ = _sorted_desc(d)
     perm_inst = Instance(inst.m, tuple(inst.agents[i] for i in order), label=inst.label)
+    coarsened: list[dict] = []
     if partitions is None:
         kwargs = {} if max_states is None else {"max_states": max_states}
         perm_parts = tuple(
@@ -823,7 +845,10 @@ def dispatch_three(
             for pos in range(3)
         )
     else:
-        perm_parts = tuple(partitions[i] for i in order)
+        perm_parts = tuple(
+            _coarsen(perm_inst.agents[pos], partitions[agent], counts[pos], agent, coarsened)
+            for pos, agent in enumerate(order)
+        )
         for pos, p in enumerate(perm_parts):
             _check_partition(p, inst.m, counts[pos], f"role {pos}")
     cert = _THREE_PROTOCOLS[name](perm_inst, perm_parts)
@@ -834,5 +859,5 @@ def dispatch_three(
     bundles = tuple(cert.allocation[inverse[i]] for i in range(3))
     alpha = tuple(cert.alpha[inverse[i]] for i in range(3))
     parts = tuple(cert.partitions[inverse[i]] for i in range(3))
-    trace = ({"step": "dispatch", "protocol": name, "agent_order": order},) + cert.trace
+    trace = ({"step": "dispatch", "protocol": name, "agent_order": order}, *coarsened, *cert.trace)
     return _seal(inst, bundles, alpha, parts, trace)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from mmslab import cli
 from mmslab.cli import (
     EXIT_BUDGET,
     EXIT_IMPOSSIBLE,
@@ -16,6 +21,8 @@ from mmslab.cli import (
 )
 from mmslab.core import Instance
 from mmslab.valuations import random_valuation
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -249,6 +256,20 @@ def test_solve_one_half_half_refused_beyond_three(tmp_path, capsys, agents, d):
         {"m": 2, "agents": [{"class": "subadditive", "table": {"4": "1"}}]},
         {"m": 2, "agents": [{"class": "subadditive", "table": {"-1": "1"}}]},
         [2, []],
+        # nested values of the wrong type
+        {"m": 4, "agents": [{"class": "subadditive", "builtin": "max_block_thirds",
+                             "blocks": 5}]},
+        {"m": 4, "agents": [{"class": "xos", "clauses": [5]}]},
+        {"m": 4, "agents": [{"class": "additive", "weights": "1234"}]},  # not 1, 2, 3, 4
+        {"m": 4, "agents": [{"class": "coverage", "builtin": "coverage",
+                             "covers": ["1", "2", "3", "4"]}]},
+        {"m": 4, "agents": [{"class": "subadditive", "table": [0, 1]}]},
+        {"m": 4, "agents": [{"class": "subadditive", "bundles": [[0, 1], 2],
+                             "inner_tables": []}]},
+        {"m": 4, "agents": [{"class": "submodular", "builtin": "budget_additive",
+                             "weights": ["1"] * 4}]},
+        {"m": 4, "agents": [{"class": "additive", "weights": ["1/0", "1", "1", "1"]}]},
+        {"m": 4, "agents": [[1, 2, 3, 4]]},
     ],
 )
 def test_malformed_instance_is_one_error_line(tmp_path, capsys, instance):
@@ -283,6 +304,11 @@ def test_table_keys_in_range_load(tmp_path, capsys):
         lambda cert: dict(cert, alpha=cert["alpha"][:2]),
         lambda cert: dict(cert, allocation=cert["allocation"] + [[]]),
         lambda cert: dict(cert, partitions=cert["partitions"][:1]),
+        # nested values of the wrong type
+        lambda cert: dict(cert, allocation=[5, *cert["allocation"][1:]]),
+        lambda cert: dict(cert, allocation=[["1"], *cert["allocation"][1:]]),
+        lambda cert: dict(cert, partitions=[*cert["partitions"][:2], 7]),
+        lambda cert: dict(cert, partitions=[*cert["partitions"][:2], [0, 1, 2, 3]]),
     ],
 )
 def test_malformed_certificate_is_one_error_line(tmp_path, demo3, capsys, change):
@@ -320,3 +346,75 @@ def test_oracle_output_keeps_its_fields_with_search_node_counts(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"exists": False, "visited": 6**6 + 1, "space": 6**6,
                        "pruned": 7**6 - 6**6}
+
+
+def _run(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+_COMMANDS = ("mms", "solve", "verify", "check-class", "counterexamples", "oracle")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], [], ["nope"], ["solv", "421"], ["-h", "solve"],
+     ["mms", "421", "--agent", "1", "--d", "2", "extra"]]
+    + [[c, "-h"] for c in _COMMANDS]
+    + [[c, "--format", "xml"] for c in _COMMANDS]
+    + [["mms", "421"], ["solve", "421"], ["verify", "421"], ["check-class"],
+       ["counterexamples", "--bogus"], ["oracle", "421"]],
+)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    # main builds only the named command's subparser; the text must not show it
+    got = _run(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == _run(argv, capsys)
+    assert got[0] in (EXIT_OK, EXIT_USAGE)
+
+
+def test_repeated_solve_in_one_process_gives_identical_certificate_bytes(tmp_path, capsys):
+    # d = (5, 3, 3) with 5- and 3-part partitions is coarsened to the 322 route
+    agents = tuple(random_valuation(c, 9, seed=7) for c in ("additive", "xos", "coverage"))
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(instance_to_json(Instance(9, agents))))
+    parts = tmp_path / "p.json"
+    parts.write_text(json.dumps([[[0], [1, 2], [3], [4, 5], [6, 7, 8]],
+                                 [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+                                 [[0, 3, 6], [1, 4, 7], [2, 5, 8]]]))
+    certs = []
+    for k in range(2):
+        cert = tmp_path / f"c{k}.json"
+        rc = main(["solve", str(inst), "--d", "5,3,3", "--partitions", str(parts),
+                   "--out", str(cert)])
+        assert rc == EXIT_OK
+        certs.append(cert.read_bytes())
+    assert certs[0] == certs[1]
+    payload = json.loads(certs[0])
+    assert [len(p) for p in payload["partitions"]] == [3, 2, 2]
+    assert [s["agent"] for s in payload["trace"] if s["step"] == "coarsen"] == [0, 0, 1, 2]
+    assert main(["verify", str(inst), str(tmp_path / "c0.json")]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_module_entry_point_reads_sys_argv():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mmslab.cli", *argv], cwd=ROOT,
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    usage = run("--help")
+    assert usage.returncode == EXIT_OK, usage.stderr
+    assert all(name in usage.stdout for name in _COMMANDS)
+    value = run("mms", "421", "--agent", "1", "--d", "2")
+    assert value.returncode == EXIT_OK, value.stderr
+    assert value.stdout.startswith("1 : ")

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mmslab.mms import (
     verify_alpha_mms_P,
     verify_alpha_mms_d,
 )
+from mmslab.oracle import best_alpha
 from mmslab.valuations import AdditiveValuation, random_valuation
 
 
@@ -124,3 +126,20 @@ def test_verify_alpha_mms_d():
     assert not res.ok and res.first_violation() == 2
     empty = Allocation.of(6, [], [], [])
     assert not verify_alpha_mms_d(empty, inst, uniform(Fraction(1, 2), 3), (3, 3, 3)).ok
+
+
+def test_searches_free_their_memos_without_the_garbage_collector():
+    # a recursive closure that is not deleted keeps its search memo in a cycle
+    v = random_valuation("additive", 8, seed=3)
+    inst = Instance(7, tuple(random_valuation("xos", 7, seed=s) for s in (1, 2, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        mms_value(v, ItemSet.full(8), 3)
+        assert gc.collect() == 0
+        mms_value_rgs(v, ItemSet.full(8), 3)
+        assert gc.collect() == 0
+        best_alpha(inst, (2, 2, 2))  # computes each mu with mms_value
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

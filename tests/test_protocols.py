@@ -10,7 +10,7 @@ from mmslab.core import (
     PreconditionViolation,
     SubadditivityViolation,
 )
-from mmslab.mms import mms_value
+from mmslab.mms import min_value, mms_value
 from mmslab.oracle import exists_alpha_mms
 from mmslab.protocols import (
     ImpossibilityReference,
@@ -362,6 +362,59 @@ def test_dispatch_agrees_with_oracle():
         cert = dispatch_three(inst, "uniform-half", (3, 2, 2))
         assert cert.verify(inst).ok
         assert exists_alpha_mms(inst, cert.alpha, (3, 2, 2)).exists
+
+
+def test_dispatch_coarsens_partitions_with_more_parts_than_the_route_uses():
+    # d = (5, 3, 3) routes to 322, which uses (3, 2, 2) parts
+    unit = AdditiveValuation([1] * 9)
+    inst = Instance(9, (unit, AdditiveValuation([1, 1, 1, 2, 2, 2, 1, 1, 1]), unit))
+    given = (
+        Partition.of(9, [0], [1, 2], [3], [4, 5], [6, 7, 8]),  # worth 1, 2, 1, 2, 3
+        Partition.of(9, [0, 1, 2], [3, 4, 5], [6, 7, 8]),  # worth 3, 6, 3
+        Partition.of(9, [0], [1, 2, 3, 4], [5, 6, 7, 8]),  # worth 1, 4, 4
+    )
+    cert = dispatch_three(inst, "uniform-half", (5, 3, 3), partitions=given)
+    assert cert.trace[0]["protocol"] == "322"
+    # the two lowest-valued parts merge, ties to the lower index, into the lower index
+    assert list(cert.trace[1:5]) == [
+        {"step": "coarsen", "agent": 0, "merged": [[0], [3]]},
+        {"step": "coarsen", "agent": 0, "merged": [[0, 3], [1, 2]]},
+        {"step": "coarsen", "agent": 1, "merged": [[0, 1, 2], [6, 7, 8]]},
+        {"step": "coarsen", "agent": 2, "merged": [[0], [1, 2, 3, 4]]},
+    ]
+    assert cert.trace[5]["step"] != "coarsen"
+    assert [[sorted(part) for part in p] for p in cert.partitions] == [
+        [[0, 1, 2, 3], [4, 5], [6, 7, 8]],
+        [[0, 1, 2, 6, 7, 8], [3, 4, 5]],
+        [[0, 1, 2, 3, 4], [5, 6, 7, 8]],
+    ]
+    assert cert.verify(inst).ok
+
+
+def test_dispatch_coarsening_never_lowers_the_minimum_part():
+    rng = random.Random(5)
+    for i in range(12):
+        inst = random_instance(3, 9, RANDOM_CLASSES[i % 4], seed=40 + i)
+        d = rng.choice([(5, 3, 3), (3, 5, 3), (6, 4, 1), (4, 4, 4)])
+        given = random_partitions(inst, d, rng)
+        cert = dispatch_three(inst, "uniform-half", d, partitions=given)
+        assert cert.verify(inst).ok
+        for v, p, q, d_i in zip(inst.agents, given, cert.partitions, d):
+            assert len(q) <= d_i
+            assert min_value(v, q) >= min_value(v, p)
+        merges = sum(len(p) - len(q) for p, q in zip(given, cert.partitions))
+        assert sum(s["step"] == "coarsen" for s in cert.trace) == merges
+
+
+def test_dispatch_rejects_partitions_with_fewer_parts_than_the_route_uses():
+    inst = Instance(9, tuple(random_valuation("additive", 9, seed=s) for s in (1, 2, 3)))
+    given = (
+        Partition.of(9, [0, 1, 2, 3], [4, 5, 6, 7, 8]),
+        Partition.of(9, [0, 1, 2], [3, 4, 5, 6, 7, 8]),
+        Partition.of(9, [0, 1, 2], [3, 4, 5, 6, 7, 8]),
+    )
+    with pytest.raises(ValueError, match="must have 3 parts, got 2"):
+        dispatch_three(inst, "uniform-half", (5, 3, 3), partitions=given)
 
 
 def test_dispatch_rejects_bad_arity():
