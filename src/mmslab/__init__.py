@@ -19,6 +19,7 @@ from .protocols import (
     ProtocolCertificate,
     cut_and_choose_two,
     disjoint_extension,
+    dispatch,
     dispatch_three,
     extend_cut_and_choose,
     four_agents_3344,

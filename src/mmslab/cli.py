@@ -43,14 +43,7 @@ from .counterexamples import (
 )
 from .mms import mms_value, verify_alpha_mms_P
 from .oracle import SearchBudget, best_alpha, exists_alpha_mms
-from .protocols import (
-    ImpossibilityReference,
-    ProtocolCertificate,
-    cut_and_choose_two,
-    dispatch_three,
-    four_agents_3344,
-    two_types,
-)
+from .protocols import MODES, ImpossibilityReference, ProtocolCertificate, dispatch
 from .valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,
@@ -320,107 +313,14 @@ def _load_partitions(path: str, m: int, n: int):
     return tuple(_partition_from_json(p, m) for p in data)
 
 
-def _solve(inst: Instance, mode: str, d, partitions, max_states: int):
-    if inst.n == 2:
-        if max(d) < 2:
-            return ImpossibilityReference(
-                "n_minus_1", "both agents demand a single part"
-            )
-        proposer = 1 if d[1] >= d[0] else 0
-        picker = 1 - proposer
-        if partitions is not None:
-            p_t = partitions[proposer]
-        else:
-            p_t = mms_value(
-                inst.agents[proposer], inst.ground(), 2, max_states=max_states
-            ).witness
-        cert = cut_and_choose_two(inst.agents[picker], inst.agents[proposer], p_t)
-        if proposer == 0:  # protocol fixes (picker, proposer) order; swap back
-            bundles = (cert.allocation[1], cert.allocation[0])
-            alpha = (cert.alpha[1], cert.alpha[0])
-            parts = (cert.partitions[1], cert.partitions[0])
-            cert = ProtocolCertificate(Allocation(bundles), alpha, parts, cert.trace)
-            if not cert.verify(inst).ok:
-                raise AssertionError("internal: swapped certificate failed")
-        return cert
-    if inst.n == 3:
-        return dispatch_three(inst, mode, d, partitions=partitions, max_states=max_states)
-    if mode == "one-half-half":
-        raise ValueError(
-            f"no protocol guarantees one-half-half to {inst.n} agents; "
-            "use --alpha uniform-half"
-        )
-    if inst.n == 4:
-        order = sorted(range(4), key=lambda i: (d[i], i))
-        counts_sorted = (3, 3, 4, 4)
-        for pos, agent in enumerate(order):
-            if d[agent] < counts_sorted[pos]:
-                raise ValueError(
-                    f"four-agent demands {tuple(d)} not covered: need two agents "
-                    "with at least 3 parts and two with at least 4"
-                )
-        perm_inst = Instance(inst.m, tuple(inst.agents[i] for i in order), label=inst.label)
-        if partitions is None:
-            perm_parts = tuple(
-                mms_value(
-                    perm_inst.agents[pos], inst.ground(), counts_sorted[pos],
-                    max_states=max_states,
-                ).witness
-                for pos in range(4)
-            )
-        else:
-            perm_parts = tuple(partitions[i] for i in order)
-        cert = four_agents_3344(perm_inst, perm_parts)
-        inverse = [0] * 4
-        for pos, agent in enumerate(order):
-            inverse[agent] = pos
-        bundles = tuple(cert.allocation[inverse[i]] for i in range(4))
-        alpha = tuple(cert.alpha[inverse[i]] for i in range(4))
-        parts = tuple(cert.partitions[inverse[i]] for i in range(4))
-        trace = ({"step": "dispatch", "protocol": "3344", "agent_order": order},) + cert.trace
-        out = ProtocolCertificate(Allocation(bundles), alpha, parts, trace)
-        if not out.verify(inst).ok:
-            raise AssertionError("internal: permuted certificate failed")
-        return out
-    # n >= 5: only the two-types protocol is available
-    distinct: list[ValuationOracle] = []
-    for v in inst.agents:
-        if not any(v == u for u in distinct):
-            distinct.append(v)
-    if len(distinct) > 2:
-        raise ValueError(
-            f"no protocol covers {inst.n} agents with {len(distinct)} distinct valuations"
-        )
-    if min(d) < inst.n:
-        raise ValueError(
-            f"{inst.n}-agent two-types protocol needs every demand >= {inst.n}"
-        )
-    v_s = distinct[0]
-    v_t = distinct[1] if len(distinct) > 1 else distinct[0]
-    types = tuple("S" if v == v_s else "T" for v in inst.agents)
-    if partitions is not None:
-        p_s = partitions[types.index("S")]
-        p_t = partitions[types.index("T")] if "T" in types else p_s
-    else:
-        p_s = mms_value(v_s, inst.ground(), inst.n, max_states=max_states).witness
-        p_t = (
-            mms_value(v_t, inst.ground(), inst.n, max_states=max_states).witness
-            if "T" in types
-            else p_s
-        )
-    return two_types(inst.n, v_s, v_t, types, p_s, p_t)
-
-
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     d = _parse_int_list(args.d)
-    if len(d) != inst.n:
-        raise ValueError(f"demand vector has {len(d)} entries for {inst.n} agents")
     partitions = (
         _load_partitions(args.partitions, inst.m, inst.n) if args.partitions else None
     )
     try:
-        result = _solve(inst, args.alpha, d, partitions, args.max_states)
+        result = dispatch(inst, args.alpha, d, partitions, args.max_states)
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -564,8 +464,7 @@ def _mms_args(p) -> None:
 
 def _solve_args(p) -> None:
     p.add_argument("instance")
-    p.add_argument("--alpha", choices=("uniform-half", "one-half-half"),
-                   default="uniform-half")
+    p.add_argument("--alpha", choices=MODES, default="uniform-half")
     p.add_argument("--d", required=True, help="comma-separated demands, e.g. 3,2,2")
     p.add_argument("--partitions", help="JSON file with one partition per agent")
     p.add_argument("--out", help="write the certificate here instead of stdout")

@@ -60,6 +60,9 @@ class HalfCapValuation(ValuationOracle):
 
     def __init__(self, m: int, blocks):
         self.blocks = tuple(int(b) for b in blocks)
+        for block in self.blocks:
+            if not 0 < block < 1 << m:
+                raise ValueError(f"half-cap block {block} is not a nonempty subset of {m} items")
         super().__init__(m, declared_class="subadditive")
 
     def _value_mask(self, mask: int) -> Fraction:

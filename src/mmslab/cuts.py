@@ -1,4 +1,4 @@
-"""Maximum-desired-half machinery used by every allocation protocol.
+"""Maximum-desired-half machinery: the one cut routine every protocol calls.
 
 A cut C splits each bundle S_j of a partition into S_j & C and S_j - C.  For
 a subadditive agent, v(S_j & C) + v(S_j - C) >= v(S_j), so at least one side
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .core import ItemSet, Partition
+from .core import ItemSet, Partition, SubadditivityViolation, SubadditivityWitness
 from .valuations import ValuationOracle
 
 
@@ -59,16 +59,31 @@ def desired_half(v: ValuationOracle, p: Partition, cut: ItemSet) -> list[tuple[i
     return desired_pieces(v, p.parts, cut)
 
 
-def max_desired_half(v: ValuationOracle, p: Partition, cut: ItemSet) -> CutResult:
+def max_desired_half(v: ValuationOracle, parts, cut: ItemSet, context: str = "") -> CutResult:
     """The larger of the two desired-half collections; ties go to the cut side.
 
-    For subadditive v the result always carries at least ceil(r/2) of the r
-    parts of `p`.
+    `parts` is a `Partition` or any sequence of pairwise disjoint item sets;
+    one pass values each part and both of its sides.  A part with neither side
+    worth half of it breaks subadditivity, and raises `SubadditivityViolation`
+    with that part's two sides as the witness (`context` names the step).  So
+    the result always carries at least ceil(r/2) of the r parts.  With one
+    part, the result is the side of it worth half, the inside when both are.
     """
-    if p.ground.mask != (1 << p.ground.m) - 1:
-        raise ValueError("partition must cover the full ground set")
-    on_cut = desired_pieces(v, p.parts, cut)
-    on_complement = desired_pieces(v, p.parts, cut.complement())
+    on_cut: list[tuple[int, ItemSet]] = []
+    on_complement: list[tuple[int, ItemSet]] = []
+    for j, part in enumerate(parts):
+        inside = part & cut
+        outside = part - cut
+        target = v.value(part)
+        vi, vo = v.value(inside), v.value(outside)
+        if 2 * vi >= target:
+            on_cut.append((j, inside))
+        if 2 * vo >= target:
+            on_complement.append((j, outside))
+        elif 2 * vi < target:
+            raise SubadditivityViolation(
+                SubadditivityWitness(inside, outside, vi, vo, target), context
+            )
     if len(on_cut) >= len(on_complement):
         return CutResult("cut", tuple(on_cut), len(on_cut), len(on_complement))
     return CutResult("complement", tuple(on_complement), len(on_cut), len(on_complement))

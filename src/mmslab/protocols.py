@@ -4,7 +4,10 @@ Every protocol takes explicit per-agent partitions and guarantees each agent a
 stated fraction of her minimum part value -- raw values throughout, nothing
 rescaled.  The cuts driving these procedures are symmetric: whichever side an
 agent turns out to prefer, bundle roles are renamed so the same construction
-goes through, and the trace records which branch actually ran.
+goes through, and the trace records which branch actually ran.  Every cut
+that must leave half of a part on one side is made by
+`cuts.max_desired_half`.  `dispatch` picks the protocol for a demand vector
+and is the one place agents are put into protocol roles.
 
 Guarantee failures are never swallowed: each step that relies on subadditivity
 checks the inequality it needs and, on failure, raises with the concrete
@@ -29,6 +32,7 @@ from .core import (
     demand_vector,
     threshold_vector,
 )
+from .cuts import max_desired_half
 from .mms import VerifyResult, min_value, mms_value, verify_alpha_mms_P
 from .valuations import ValuationOracle
 from .counterexamples import has_blocking_subset
@@ -98,59 +102,6 @@ def _seal(
             f"internal: certificate failed verification, margins {result.margins}"
         )
     return cert
-
-
-def _half_piece(
-    v: ValuationOracle, part: ItemSet, cut: ItemSet, context: str
-) -> tuple[ItemSet, str]:
-    """The side of `part` under `cut` worth at least half of v(part)."""
-    inside = part & cut
-    outside = part - cut
-    target = v.value(part)
-    vi, vo = v.value(inside), v.value(outside)
-    if 2 * vi >= target:
-        return inside, "cut"
-    if 2 * vo >= target:
-        return outside, "complement"
-    raise SubadditivityViolation(
-        SubadditivityWitness(inside, outside, vi, vo, target), context
-    )
-
-
-def _desired_or_witness(
-    v: ValuationOracle, parts, cut: ItemSet, need: int, context: str
-) -> tuple[str, list[tuple[int, ItemSet]]]:
-    """Pieces worth >= half their parent on the richer side of the cut.
-
-    Per part, subadditivity forces one side to carry half; if neither does,
-    that part is the violation witness.  The richer side then holds at least
-    ceil(r/2) pieces, which must cover `need`.
-    """
-    on_cut: list[tuple[int, ItemSet]] = []
-    on_comp: list[tuple[int, ItemSet]] = []
-    for j, part in enumerate(parts):
-        inside = part & cut
-        outside = part - cut
-        target = v.value(part)
-        vi, vo = v.value(inside), v.value(outside)
-        ok_in = 2 * vi >= target
-        ok_out = 2 * vo >= target
-        if not ok_in and not ok_out:
-            raise SubadditivityViolation(
-                SubadditivityWitness(inside, outside, vi, vo, target), context
-            )
-        if ok_in:
-            on_cut.append((j, inside))
-        if ok_out:
-            on_comp.append((j, outside))
-    side, pieces = (
-        ("cut", on_cut) if len(on_cut) >= len(on_comp) else ("complement", on_comp)
-    )
-    if len(pieces) < need:
-        raise AssertionError(
-            f"internal: {context}: richer side has {len(pieces)} pieces, need {need}"
-        )
-    return side, pieces
 
 
 def cut_and_choose_two(
@@ -247,17 +198,16 @@ def three_agents_322(inst: Instance, partitions) -> ProtocolCertificate:
     ground = inst.ground()
 
     cut1 = pT[1]
-    side1, pieces1 = _desired_or_witness(
-        vS, pS.parts, cut1, 2, "first cut for the 3-part agent"
-    )
-    s_star_1, s_star_2 = pieces1[0][1], pieces1[1][1]
+    first = max_desired_half(vS, pS, cut1, "first cut for the 3-part agent")
+    side1 = first.side
+    s_star_1, s_star_2 = first.pieces()[:2]
     t_used = 1 if side1 == "cut" else 0
     t_other = 1 - t_used
 
     cut2 = pQ[0]
-    t_piece, side2 = _half_piece(
-        vT, pT[t_other], cut2, "second cut for the 2-part agent"
-    )
+    second = max_desired_half(vT, [pT[t_other]], cut2, "second cut for the 2-part agent")
+    side2 = second.side
+    (t_piece,) = second.pieces()
     q_untouched = 1 if side2 == "cut" else 0
 
     m_prime = ground - t_piece
@@ -311,21 +261,17 @@ def disjoint_extension(
         in_b = x & union_b
         if not in_a.isdisjoint(in_b):
             continue
-        rest = x - union_a
-        target = vn.value(x)
-        if 2 * vn.value(in_a) >= target:
-            bundles = partial_b + (in_a,)
-            info = {"step": "disjoint_extension", "part": x_idx, "base": "second",
-                    "piece": _items(in_a)}
-        elif 2 * vn.value(rest) >= target:
-            bundles = partial_a + (rest,)
-            info = {"step": "disjoint_extension", "part": x_idx, "base": "first",
-                    "piece": _items(rest)}
+        half = max_desired_half(
+            vn, [x], union_a,
+            "disjoint extension: neither side of the saved part reaches half",
+        )
+        (piece,) = half.pieces()
+        if half.side == "cut":
+            bundles, base = partial_b + (piece,), "second"
         else:
-            raise SubadditivityViolation(
-                SubadditivityWitness(in_a, rest, vn.value(in_a), vn.value(rest), target),
-                "disjoint extension: neither side of the saved part reaches half",
-            )
+            bundles, base = partial_a + (piece,), "first"
+        info = {"step": "disjoint_extension", "part": x_idx, "base": base,
+                "piece": _items(piece)}
         return Allocation(bundles), info
     raise PreconditionViolation(
         "no part of the final agent's partition separates the two partial allocations"
@@ -415,8 +361,9 @@ def three_agents_431(inst: Instance, partitions) -> ProtocolCertificate:
     vS, vT, vQ = inst.agents
 
     cut = pS[0] | pS[1]
-    side, pieces = _desired_or_witness(vT, pT.parts, cut, 2, "cut along two parts")
-    t1, t2 = pieces[0][1], pieces[1][1]
+    half = max_desired_half(vT, pT, cut, "cut along two parts")
+    side = half.side
+    t1, t2 = half.pieces()[:2]
     anchors = (2, 3) if side == "cut" else (0, 1)
     partial_a = (pS[anchors[0]], t1)
     partial_b = (pS[anchors[1]], t2)
@@ -448,22 +395,13 @@ def three_agents_422(inst: Instance, partitions) -> ProtocolCertificate:
     _check_partition(pQ, inst.m, 2, "agent 2")
     vS, vT, vQ = inst.agents
 
-    target = vT.value(pT[0])
     pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
     good_pairs = []
     for left, right in pairings:
-        piece_l = pT[0] & (pS[left[0]] | pS[left[1]])
-        piece_r = pT[0] & (pS[right[0]] | pS[right[1]])
-        vl, vr = vT.value(piece_l), vT.value(piece_r)
-        if 2 * vl >= target:
-            good_pairs.append(left)
-        elif 2 * vr >= target:
-            good_pairs.append(right)
-        else:
-            raise SubadditivityViolation(
-                SubadditivityWitness(piece_l, piece_r, vl, vr, target),
-                "pairing cut: neither side halves the first part",
-            )
+        # pS covers M, so the complement side of the first part is its right piece
+        half = max_desired_half(vT, [pT[0]], pS[left[0]] | pS[left[1]],
+                                "pairing cut: neither side halves the first part")
+        good_pairs.append(left if half.side == "cut" else right)
     # two cuts from different pairings always share exactly one part index
     first, second = good_pairs[0], good_pairs[1]
     shared = (set(first) & set(second)).pop()
@@ -474,7 +412,9 @@ def three_agents_422(inst: Instance, partitions) -> ProtocolCertificate:
     t_second = pT[0] & (pS[shared] | pS[c])
 
     crossed = (pQ[0] - pS[a]) | pS[c]
-    t_piece, side = _half_piece(vT, pT[1], crossed, "crossed cut on the second part")
+    half = max_desired_half(vT, [pT[1]], crossed, "crossed cut on the second part")
+    side = half.side
+    (t_piece,) = half.pieces()
     if side == "cut":
         partial_a = (pS[a], t_piece)
         partial_b = (pS[free], t_second)
@@ -562,8 +502,9 @@ def four_agents_3344(inst: Instance, partitions) -> ProtocolCertificate:
 
     # opening cut: split the first agent along two parts of the last agent
     cut1 = pR[0] | pR[1]
-    side1, pieces1 = _desired_or_witness(vS, pS.parts, cut1, 2, "opening cut")
-    s1, s2 = pieces1[0][1], pieces1[1][1]
+    first = max_desired_half(vS, pS, cut1, "opening cut")
+    side1 = first.side
+    s1, s2 = first.pieces()[:2]
     r_rest = (2, 3) if side1 == "cut" else (0, 1)
     r3, r4 = r_rest
     trace.append({"step": "cut", "agent": 0, "cut": _items(cut1), "side": side1,
@@ -572,11 +513,12 @@ def four_agents_3344(inst: Instance, partitions) -> ProtocolCertificate:
     # second cut: sends the second agent away from one first-agent piece and
     # one untouched last-agent part
     cut2 = s2 | pR[r4]
-    side2, pieces2 = _desired_or_witness(vT, pT.parts, cut2, 2, "second cut")
+    second = max_desired_half(vT, pT, cut2, "second cut")
+    side2 = second.side
     if side2 == "cut":
         s1, s2 = s2, s1
         r3, r4 = r4, r3
-    t1, t2 = pieces2[0][1], pieces2[1][1]
+    t1, t2 = second.pieces()[:2]
     for piece in (t1, t2):
         assert piece.isdisjoint(s2) and piece.isdisjoint(pR[r4])
     trace.append({"step": "cut", "agent": 1, "cut": _items(cut2), "side": side2,
@@ -721,9 +663,8 @@ def two_types(
         cut = ItemSet.empty(m)
         for part in surv[mino][: k // 2]:
             cut = cut | part
-        side, pieces = _desired_or_witness(
-            v_maj, surv[maj], cut, (k + 1) // 2, f"level {level} cut"
-        )
+        half = max_desired_half(v_maj, surv[maj], cut, f"level {level} cut")
+        side, pieces = half.side, half.satisfied
         n_prime = min(len(pieces), len(by_type[maj]))
         taken = pieces[:n_prime]
         assigned = by_type[maj][:n_prime]
@@ -808,6 +749,48 @@ _THREE_PROTOCOLS = {
 }
 
 
+MODES = ("uniform-half", "one-half-half")
+
+
+def _role_partitions(inst: Instance, roles, partitions, max_states, trace: list):
+    """One partition per (agent, part count) role, in role order.
+
+    A supplied partition is coarsened to the role's part count (`_coarsen`,
+    each merge appended to `trace`); one with fewer parts is rejected.  With
+    none supplied, the agent's best-partition witness for that count is used.
+    """
+    kwargs = {} if max_states is None else {"max_states": max_states}
+    out = []
+    for agent, parts in roles:
+        v = inst.agents[agent]
+        if partitions is None:
+            out.append(mms_value(v, inst.ground(), parts, **kwargs).witness)
+        else:
+            p = _coarsen(v, partitions[agent], parts, agent, trace)
+            _check_partition(p, inst.m, parts, f"agent {agent}")
+            out.append(p)
+    return tuple(out)
+
+
+def _in_order(inst: Instance, order, protocol, head=()) -> ProtocolCertificate:
+    """Run `protocol` on `inst` with its agents listed in `order`, and return
+    the certificate in `inst`'s own agent order, `head` before its trace.
+
+    This is the only place where agents are permuted and mapped back.
+    """
+    order = tuple(order)
+    cert = protocol(Instance(inst.m, tuple(inst.agents[i] for i in order), label=inst.label))
+    if order == tuple(range(inst.n)) and not head:
+        return cert  # already sealed against these agents in this order
+    inverse = sorted(range(inst.n), key=order.__getitem__)
+
+    def back(xs):
+        return tuple(xs[pos] for pos in inverse)
+
+    return _seal(inst, back(cert.allocation.bundles), back(cert.alpha),
+                 back(cert.partitions), (*head, *cert.trace))
+
+
 def dispatch_three(
     inst: Instance,
     mode: str,
@@ -819,14 +802,12 @@ def dispatch_three(
 
     `mode` is "uniform-half" (all agents get half) or "one-half-half" (the
     agent with the most parts gets her full minimum, the others half).
-    Agents are permuted so the sorted demands line up with protocol roles;
-    when no partitions are supplied, best-partition witnesses are computed
-    for the routed part counts, which never exceed the agents' demands.  A
-    supplied partition with more parts than its role uses is coarsened
-    (`_coarsen`), each merge recorded in the trace after the dispatch step;
-    one with fewer parts is rejected.
+    Agents are permuted so the sorted demands line up with protocol roles,
+    and each role's partition comes from `_role_partitions`; the routed part
+    counts never exceed the agents' demands.  Merges made while coarsening
+    are recorded in the trace after the dispatch step.
     """
-    if mode not in ("uniform-half", "one-half-half"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     d = demand_vector(d)
     if inst.n != 3 or len(d) != 3:
@@ -836,28 +817,77 @@ def dispatch_three(
         return routed
     name, counts = routed
     order, _ = _sorted_desc(d)
-    perm_inst = Instance(inst.m, tuple(inst.agents[i] for i in order), label=inst.label)
     coarsened: list[dict] = []
-    if partitions is None:
-        kwargs = {} if max_states is None else {"max_states": max_states}
-        perm_parts = tuple(
-            mms_value(perm_inst.agents[pos], inst.ground(), counts[pos], **kwargs).witness
-            for pos in range(3)
+    parts = _role_partitions(inst, zip(order, counts), partitions, max_states, coarsened)
+    head = ({"step": "dispatch", "protocol": name, "agent_order": order}, *coarsened)
+    return _in_order(inst, order, lambda perm: _THREE_PROTOCOLS[name](perm, parts), head)
+
+
+def dispatch(
+    inst: Instance,
+    mode: str,
+    d,
+    partitions=None,
+    max_states: int | None = None,
+) -> ProtocolCertificate | ImpossibilityReference:
+    """Run the protocol that covers demand vector `d`, or name the
+    counterexample family that rules the request out.
+
+    Two agents: cut and choose, the agent with more parts proposing (ties to
+    agent 1), for any mode.  Three agents: `dispatch_three`.  Four agents,
+    uniform-half: the 3344 protocol, whenever two agents demand at least 3
+    parts and the other two at least 4.  Any other count, uniform-half: the
+    two-types protocol, whenever the agents have at most two distinct
+    valuations and every demand is at least n.  Supplied `partitions` (one
+    per agent) and computed ones both come from `_role_partitions`.  Anything
+    else is a ValueError.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if len(d) != inst.n:
+        raise ValueError(f"demand vector has {len(d)} entries for {inst.n} agents")
+    if inst.n == 3:
+        return dispatch_three(inst, mode, d, partitions=partitions, max_states=max_states)
+    coarsened: list[dict] = []
+    if inst.n == 2:
+        if max(d) < 2:
+            return ImpossibilityReference("n_minus_1", "both agents demand a single part")
+        proposer = 1 if d[1] >= d[0] else 0
+        (p_t,) = _role_partitions(inst, [(proposer, 2)], partitions, max_states, coarsened)
+        return _in_order(inst, (1 - proposer, proposer),
+                         lambda perm: cut_and_choose_two(*perm.agents, p_t), coarsened)
+    if mode == "one-half-half":
+        raise ValueError(
+            f"no protocol guarantees one-half-half to {inst.n} agents; "
+            "use --alpha uniform-half"
         )
-    else:
-        perm_parts = tuple(
-            _coarsen(perm_inst.agents[pos], partitions[agent], counts[pos], agent, coarsened)
-            for pos, agent in enumerate(order)
+    if inst.n == 4:
+        order = sorted(range(4), key=lambda i: (d[i], i))
+        counts = (3, 3, 4, 4)
+        if any(d[agent] < c for agent, c in zip(order, counts)):
+            raise ValueError(
+                f"four-agent demands {tuple(d)} not covered: need two agents "
+                "with at least 3 parts and two with at least 4"
+            )
+        parts = _role_partitions(inst, zip(order, counts), partitions, max_states, coarsened)
+        head = ({"step": "dispatch", "protocol": "3344", "agent_order": order}, *coarsened)
+        return _in_order(inst, order, lambda perm: four_agents_3344(perm, parts), head)
+    distinct: list[ValuationOracle] = []
+    for v in inst.agents:
+        if not any(v == u for u in distinct):
+            distinct.append(v)
+    if len(distinct) > 2:
+        raise ValueError(
+            f"no protocol covers {inst.n} agents with {len(distinct)} distinct valuations"
         )
-        for pos, p in enumerate(perm_parts):
-            _check_partition(p, inst.m, counts[pos], f"role {pos}")
-    cert = _THREE_PROTOCOLS[name](perm_inst, perm_parts)
-    # map roles back to the original agent order
-    inverse = [0] * 3
-    for pos, agent in enumerate(order):
-        inverse[agent] = pos
-    bundles = tuple(cert.allocation[inverse[i]] for i in range(3))
-    alpha = tuple(cert.alpha[inverse[i]] for i in range(3))
-    parts = tuple(cert.partitions[inverse[i]] for i in range(3))
-    trace = ({"step": "dispatch", "protocol": name, "agent_order": order}, *coarsened, *cert.trace)
-    return _seal(inst, bundles, alpha, parts, trace)
+    if min(d) < inst.n:
+        raise ValueError(
+            f"{inst.n}-agent two-types protocol needs every demand >= {inst.n}"
+        )
+    v_s, v_t = distinct[0], distinct[-1]
+    types = tuple("S" if v == v_s else "T" for v in inst.agents)
+    roles = [(types.index(t), inst.n) for t in ("S", "T") if t in types]
+    parts = _role_partitions(inst, roles, partitions, max_states, coarsened)
+    p_s, p_t = parts[0], parts[-1]
+    return _in_order(inst, range(inst.n),
+                     lambda _: two_types(inst.n, v_s, v_t, types, p_s, p_t), coarsened)

@@ -156,12 +156,6 @@ class ValuationOracle:
     def _int_view(self) -> IntView:
         return IntView(1, self.value_mask, integral=False)
 
-    def dense_table(self) -> list[Fraction]:
-        """All 2^m values; only sensible for small m."""
-        if self.m > 16:
-            raise ValueError(f"dense table over {self.m} items is too large")
-        return [self.value_mask(mask) for mask in range(1 << self.m)]
-
     def _key(self):
         return id(self)
 
@@ -252,9 +246,6 @@ class TableValuation(ValuationOracle):
     def _int_view(self) -> IntView:
         denom = _denominator(self.table)
         return IntView(denom, _scale(self.table, denom).__getitem__)
-
-    def dense_table(self) -> list[Fraction]:
-        return list(self.table)
 
     def _key(self):
         return self.table

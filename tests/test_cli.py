@@ -20,7 +20,7 @@ from mmslab.cli import (
     main,
 )
 from mmslab.core import Instance
-from mmslab.valuations import random_valuation
+from mmslab.valuations import AdditiveValuation, random_valuation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -270,6 +270,9 @@ def test_solve_one_half_half_refused_beyond_three(tmp_path, capsys, agents, d):
                              "weights": ["1"] * 4}]},
         {"m": 4, "agents": [{"class": "additive", "weights": ["1/0", "1", "1", "1"]}]},
         {"m": 4, "agents": [[1, 2, 3, 4]]},
+        # a half-cap block past item m-1 made the agent worth 1/2 everywhere, 0 worth 1
+        {"m": 4, "agents": [{"class": "subadditive", "builtin": "half_cap", "blocks": [1024]}]},
+        {"m": 4, "agents": [{"class": "subadditive", "builtin": "half_cap", "blocks": [0]}]},
     ],
 )
 def test_malformed_instance_is_one_error_line(tmp_path, capsys, instance):
@@ -336,6 +339,77 @@ def test_max_block_thirds_rejects_blocks_that_are_not_disjoint_triples(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _solve_with_partitions(tmp_path, capsys, agents, d, partitions):
+    """(exit code, certificate payload or None, stderr) of one solve, verified."""
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(instance_to_json(Instance(agents[0].m, tuple(agents)))))
+    parts = tmp_path / "p.json"
+    parts.write_text(json.dumps(partitions))
+    cert = tmp_path / "c.json"
+    rc = main(["solve", str(inst), "--d", ",".join(map(str, d)), "--partitions", str(parts),
+               "--out", str(cert)])
+    err = capsys.readouterr().err
+    if rc != EXIT_OK:
+        return rc, None, err
+    assert main(["verify", str(inst), str(cert)]) == EXIT_OK
+    capsys.readouterr()
+    return rc, json.loads(cert.read_text()), err
+
+
+def _coarsened_agents(payload) -> list[int]:
+    return [s["agent"] for s in payload["trace"] if s["step"] == "coarsen"]
+
+
+def test_two_agent_route_coarsens_the_proposers_partition(tmp_path, capsys):
+    unit = AdditiveValuation([1] * 4)
+    rc, payload, _ = _solve_with_partitions(
+        tmp_path, capsys, [unit, unit], [3, 3], [[[0], [1], [2, 3]], [[0, 1], [2], [3]]]
+    )
+    assert rc == EXIT_OK
+    assert _coarsened_agents(payload) == [1]
+    assert payload["partitions"][1] == [[0, 1], [2, 3]]
+
+
+def test_3344_route_coarsens_a_five_part_partition(tmp_path, capsys):
+    agents = [random_valuation("additive", 10, seed=s) for s in (1, 2, 3, 4)]
+    partitions = [
+        [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]],
+        [[0, 3, 6], [1, 4, 7], [2, 5, 8, 9]],
+        [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]],
+        [[0, 4], [1, 5], [2, 6], [3, 7, 8, 9]],
+    ]
+    rc, payload, _ = _solve_with_partitions(tmp_path, capsys, agents, [3, 3, 5, 4],
+                                            partitions)
+    assert rc == EXIT_OK
+    assert payload["trace"][0] == {"step": "dispatch", "protocol": "3344",
+                                   "agent_order": [0, 1, 3, 2]}
+    assert _coarsened_agents(payload) == [2]
+    assert [len(p) for p in payload["partitions"]] == [3, 3, 4, 4]
+
+
+def test_two_types_route_coarsens_an_extra_part(tmp_path, capsys):
+    vS = random_valuation("additive", 8, seed=10)
+    vT = random_valuation("xos", 8, seed=11)
+    five = [[0, 1], [2, 3], [4], [5], [6, 7]]
+    six = [[0], [1], [2, 3], [4], [5], [6, 7]]
+    rc, payload, _ = _solve_with_partitions(tmp_path, capsys, [vS, vT, vS, vT, vS],
+                                            [5] * 5, [five, six, five, five, five])
+    assert rc == EXIT_OK
+    assert _coarsened_agents(payload) == [1]
+    assert [len(p) for p in payload["partitions"]] == [5] * 5
+
+
+@pytest.mark.parametrize("d, partitions", [
+    ([3, 3], [[[0], [1], [2, 3]], [[0, 1, 2, 3]]]),  # the proposer has one part
+    ([5, 5, 5, 5, 5], [[[0, 1], [2, 3]]] * 5),
+])
+def test_partition_with_fewer_parts_than_its_role_is_refused(tmp_path, capsys, d, partitions):
+    unit = AdditiveValuation([1] * 4)
+    rc, _, err = _solve_with_partitions(tmp_path, capsys, [unit] * len(d), d, partitions)
+    assert rc == EXIT_USAGE
+    assert err.startswith("error: partition for agent ") and "parts, got" in err
 
 
 def test_oracle_output_keeps_its_fields_with_search_node_counts(capsys):

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mmslab.core import ItemSet, Partition
+from mmslab.core import ItemSet, Partition, SubadditivityViolation
 from mmslab.cuts import desired_half, max_desired_half, minimum_guaranteed
-from mmslab.valuations import AdditiveValuation, random_valuation
+from mmslab.valuations import AdditiveValuation, ValuationOracle, random_valuation
 
 from helpers import random_partition
 
@@ -50,6 +52,39 @@ def test_tie_breaks_toward_cut_side():
     res = max_desired_half(v, p, ItemSet.of(2, [0]))
     assert res.side == "cut"
     assert res.cut_count == res.complement_count == 1
+
+
+def test_non_subadditive_part_raises_its_witness():
+    # worth 1 on {0, 1} and on its supersets, 1/10 on every other nonempty set
+    v = ValuationOracle(
+        4, lambda s: Fraction(1) if s.mask & 3 == 3 else Fraction(1, 10) * bool(s.mask)
+    )
+    p = Partition.of(4, [0, 1], [2, 3])
+    with pytest.raises(SubadditivityViolation) as err:
+        max_desired_half(v, p, ItemSet.of(4, [0, 2]), "test cut")
+    witness = err.value.witness
+    assert witness.holds(v.value)
+    assert (sorted(witness.a), sorted(witness.b)) == ([0], [1])
+    assert "test cut" in str(err.value)
+
+
+def test_accepts_disjoint_parts_that_do_not_cover():
+    v = AdditiveValuation([1, 2, 3, 4, 5, 6])
+    parts = [ItemSet.of(6, [0, 5]), ItemSet.of(6, [2, 3])]  # items 1 and 4 left out
+    res = max_desired_half(v, parts, ItemSet.of(6, [3, 5]))
+    assert res.side == "cut"
+    assert [(j, sorted(piece)) for j, piece in res.satisfied] == [(0, [5]), (1, [3])]
+    assert res.complement_count == 0
+
+
+def test_one_part_returns_the_inside_piece_when_both_sides_reach_half():
+    v = AdditiveValuation([1, 1, 1, 1])
+    part = ItemSet.of(4, [0, 1, 2, 3])
+    res = max_desired_half(v, [part], ItemSet.of(4, [1, 3]))
+    assert res.side == "cut" and res.cut_count == res.complement_count == 1
+    assert [(j, sorted(piece)) for j, piece in res.satisfied] == [(0, [1, 3])]
+    res = max_desired_half(v, [part], ItemSet.of(4, [1]))
+    assert res.side == "complement" and res.pieces() == (ItemSet.of(4, [0, 2, 3]),)
 
 
 def test_minimum_guaranteed():

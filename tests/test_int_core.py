@@ -66,8 +66,9 @@ def oracle_zoo(m: int, seed: int) -> list[ValuationOracle]:
         xos,
         BudgetAdditiveValuation(weights, sum(weights) * Fraction(2, 5)),
         CoverageValuation(m, [rng.getrandbits(m + 2) for _ in range(m)]),
-        TableValuation(m, xos.dense_table()),
-        BundleMaxValuation(m, bundles, [t.dense_table() for t in inner]),
+        TableValuation(m, [xos.value_mask(x) for x in range(1 << m)]),
+        BundleMaxValuation(m, bundles, [[t.value_mask(x) for x in range(1 << t.m)]
+                                         for t in inner]),
         third_transform(AdditiveValuation([w / 2 for w in weights])),
         ValuationOracle(m, fn=lambda s: additive.value(s) * Fraction(3, 11)),
     ]
