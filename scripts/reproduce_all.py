@@ -2,94 +2,56 @@
 """Reproduce every headline number from builtin instances, no data files.
 
 Prints the impossibility table (each row re-derived by brute force or
-structured exhaustion), the exact caps 2/3 and 1/2, and a randomized
-protocol-guarantee spot check.  Everything is deterministic.
+structured exhaustion, the exact caps 2/3 and 1/2 among them) and a
+randomized protocol-guarantee spot check through the dispatcher.
+Everything is deterministic.
 """
 
 import argparse
 import random
 import sys
 import time
-from fractions import Fraction
-from pathlib import Path
 
+from mmslab import cli
 from mmslab.core import Instance
-from mmslab.counterexamples import counterexample_suite, instance_submodular_6, instance_half_cap
-from mmslab.oracle import best_alpha
-from mmslab.protocols import (
-    cut_and_choose_two,
-    four_agents_3344,
-    three_agents_322,
-    three_agents_431,
-    three_agents_422,
-    three_agents_521,
-    two_types,
-)
+from mmslab.protocols import ImpossibilityReference, dispatch
 from mmslab.valuations import RANDOM_CLASSES, random_valuation
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import random_instance, random_partition, random_partitions  # noqa: E402
+# (route, mode, demands, least item count): each request routes to its
+# protocol.  The two-types request has five agents sharing two valuations.
+ROUTES = (
+    ("cut_and_choose", "uniform-half", (2, 2), 2),
+    ("322", "uniform-half", (3, 2, 2), 7),
+    ("521", "uniform-half", (5, 2, 1), 6),
+    ("431", "uniform-half", (4, 3, 1), 6),
+    ("422", "one-half-half", (4, 2, 2), 6),
+    ("3344", "uniform-half", (3, 3, 4, 4), 8),
+    ("two_types", "uniform-half", (5,) * 5, 5),
+)
+MAX_M = 8  # keeps each agent's exact maximin-share search to milliseconds
 
 
 def run_counterexamples() -> bool:
     print("== impossibility catalogue ==")
-    rows = counterexample_suite()
-    width = max(len(name) for name, _, _ in rows)
-    for name, ok, detail in rows:
-        print(f"  {name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}")
-    return all(ok for _, ok, _ in rows)
-
-
-def run_caps() -> bool:
-    print("== exact caps ==")
-    r6 = best_alpha(instance_submodular_6(), (3, 3, 3))
-    print(f"  submodular 6-item cap: {r6.value} (want 2/3)")
-    rh = best_alpha(instance_half_cap((2, 2, 2)), (2, 2, 2))
-    print(f"  product-instance cap:  {rh.value} (want 1/2)")
-    return r6.value == Fraction(2, 3) and rh.value == Fraction(1, 2)
+    return cli.main(["counterexamples"]) == cli.EXIT_OK
 
 
 def run_protocols(trials: int) -> bool:
     print(f"== protocol guarantees ({trials} random instances per class each) ==")
     ok = True
-    table = (
-        ("cut_and_choose", None, (2,), 2),
-        ("322", three_agents_322, (3, 2, 2), 7),
-        ("521", three_agents_521, (5, 2, 1), 6),
-        ("431", three_agents_431, (4, 3, 1), 6),
-        ("422", three_agents_422, (4, 2, 2), 6),
-        ("3344", four_agents_3344, (3, 3, 4, 4), 8),
-        ("two_types", None, None, 2),
-    )
-    for name, protocol, sizes, m_lo in table:
+    for name, mode, d, m_lo in ROUTES:
         t0 = time.perf_counter()
         failures = 0
         for cls in RANDOM_CLASSES:
             for i in range(trials):
                 rng = random.Random(f"repro:{name}:{cls}:{i}")
-                if name == "cut_and_choose":
-                    m = rng.randint(2, 10)
-                    vS = random_valuation(cls, m, seed=i)
-                    vT = random_valuation(cls, m, seed=i + 10**6)
-                    cert = cut_and_choose_two(vS, vT, random_partition(m, 2, rng))
-                    good = cert.verify(Instance(m, (vS, vT))).ok
-                elif name == "two_types":
-                    n = rng.randint(2, 6)
-                    m = rng.randint(n, 10)
-                    vS = random_valuation(cls, m, seed=i)
-                    vT = random_valuation(cls, m, seed=i + 2 * 10**6)
-                    types = tuple(rng.choice("ST") for _ in range(n))
-                    cert = two_types(n, vS, vT, types,
-                                     random_partition(m, n, rng),
-                                     random_partition(m, n, rng))
-                    inst = Instance(m, tuple(vS if t == "S" else vT for t in types))
-                    good = cert.verify(inst).ok
-                else:
-                    m = rng.randint(m_lo, 10)
-                    inst = random_instance(len(sizes), m, cls, seed=i)
-                    cert = protocol(inst, random_partitions(inst, sizes, rng))
-                    good = cert.verify(inst).ok
-                failures += not good
+                m = rng.randint(m_lo, MAX_M)
+                kinds = [random_valuation(cls, m, seed=rng.getrandbits(32))
+                         for _ in range(2 if name == "two_types" else len(d))]
+                agents = [rng.choice(kinds) for _ in d] if name == "two_types" else kinds
+                inst = Instance(m, tuple(agents))
+                cert = dispatch(inst, mode, d)
+                failures += isinstance(cert, ImpossibilityReference) or not cert.verify(inst).ok
         status = "pass" if failures == 0 else f"{failures} FAILURES"
         print(f"  {name:<14} {status}  ({time.perf_counter() - t0:.1f}s)")
         ok = ok and failures == 0
@@ -103,7 +65,6 @@ def main() -> int:
     args = parser.parse_args()
     t0 = time.perf_counter()
     ok = run_counterexamples()
-    ok = run_caps() and ok
     ok = run_protocols(args.trials) and ok
     print(f"== {'ALL PASS' if ok else 'FAILURES'} ({time.perf_counter() - t0:.1f}s) ==")
     return 0 if ok else 1

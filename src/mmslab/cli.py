@@ -9,11 +9,10 @@ Commands
   oracle          brute-force existence or best-ratio search
 
 Instances are JSON files {label, m, agents: [{class, ...spec}]} or builtin
-names such as "submodular_6", "grid27", "421", "half_cap:2,2,2",
-"n_minus_1:3", "floor_n3:6" -- the whole reproduction suite runs without any
-data files.  Rationals are encoded as exact "p/q" strings.  Exit codes:
-0 success, 1 malformed input or unsupported request, 2 budget refusal,
-3 impossibility, 4 verification failure.
+families named as in counterexamples.CATALOGUE, arguments after a colon
+(half_cap:2,2,2) -- the reproduction suite needs no data files.  Rationals
+are exact "p/q" strings.  Exit codes: 0 success, 1 malformed input or
+unsupported request, 2 budget refusal, 3 impossibility, 4 verification failure.
 
 Each call of `main` builds the top-level parser and only the subparser that
 its first argument names; when that names no command it builds all of them,
@@ -29,17 +28,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import MAX_ITEMS, Allocation, BudgetExceeded, Instance, ItemSet, Partition
+from .core import PreconditionViolation, SubadditivityViolation
 from .counterexamples import (
+    CATALOGUE,
     HalfCapValuation,
     MaxBlockThirdsValuation,
     OnesValuation,
     counterexample_suite,
-    instance_27,
-    instance_421,
-    instance_floor_n3,
-    instance_half_cap,
-    instance_n_minus_1,
-    instance_submodular_6,
 )
 from .mms import mms_value, verify_alpha_mms_P
 from .oracle import SearchBudget, best_alpha, exists_alpha_mms
@@ -198,14 +193,10 @@ def instance_from_json(obj: dict) -> Instance:
     return Instance(m, agents, label=obj.get("label", ""))
 
 
-BUILTIN_INSTANCES = {
-    "submodular_6": lambda args: instance_submodular_6(),
-    "grid27": lambda args: instance_27(parse_frac(args[0])) if args else instance_27(),
-    "421": lambda args: instance_421(),
-    "half_cap": lambda args: instance_half_cap([int(x) for x in args]),
-    "n_minus_1": lambda args: instance_n_minus_1(int(args[0])),
-    "floor_n3": lambda args: instance_floor_n3(int(args[0])),
-}
+# each argparse-style `nargs` of a builtin family: the argument counts it admits, in words
+_NARGS = {0: (range(1), "no arguments"), 1: (range(1, 2), "one {} argument"),
+          "?": (range(2), "at most one {} argument"),
+          "+": (range(1, sys.maxsize), "one or more {} arguments")}
 
 
 def load_instance(name: str) -> Instance:
@@ -214,10 +205,20 @@ def load_instance(name: str) -> Instance:
     if path.exists():
         return instance_from_json(json.loads(path.read_text()))
     base, _, argstr = name.partition(":")
-    if base in BUILTIN_INSTANCES:
-        args = [a for a in argstr.split(",") if a] if argstr else []
-        return BUILTIN_INSTANCES[base](args)
-    raise ValueError(f"no such file or builtin instance: {name!r}")
+    family = CATALOGUE.get(base)
+    if family is None:
+        raise ValueError(f"no such file or builtin instance {name!r}; "
+                         f"the builtins are {', '.join(CATALOGUE)}")
+    counts, takes = _NARGS[family.nargs]
+    raw = argstr.split(",") if argstr else []
+    try:
+        args = [family.param(a) for a in raw] if len(raw) in counts else None
+    except (ValueError, ZeroDivisionError):
+        args = None
+    if args is None:
+        what = takes.format(family.param.__name__) if family.param else takes
+        raise ValueError(f"builtin {base} takes {what}, not {name!r}")
+    return family.build(*args)
 
 
 # --- certificate (de)serialization -------------------------------------------
@@ -290,13 +291,7 @@ def cmd_mms(args) -> int:
     inst = load_instance(args.instance)
     if not (0 <= args.agent < inst.n):
         raise ValueError(f"agent index {args.agent} outside 0..{inst.n - 1}")
-    try:
-        result = mms_value(
-            inst.agents[args.agent], inst.ground(), args.d, max_states=args.max_states
-        )
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = mms_value(inst.agents[args.agent], inst.ground(), args.d, max_states=args.max_states)
     witness = [sorted(part) for part in result.witness.parts]
     _emit(
         {"value": frac_str(result.value), "witness": witness},
@@ -319,11 +314,7 @@ def cmd_solve(args) -> int:
     partitions = (
         _load_partitions(args.partitions, inst.m, inst.n) if args.partitions else None
     )
-    try:
-        result = dispatch(inst, args.alpha, d, partitions, args.max_states)
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = dispatch(inst, args.alpha, d, partitions, args.max_states)
     if isinstance(result, ImpossibilityReference):
         print(f"impossible: family {result.family} ({result.detail})", file=sys.stderr)
         return EXIT_IMPOSSIBLE
@@ -532,7 +523,11 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ValueError, OSError, json.JSONDecodeError, SubadditivityViolation,
+            PreconditionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,6 +5,9 @@ each cap is certified by machine search: raw brute force where the item count
 allows it, and a structured (but still exhaustive, and machine-audited)
 reduction for the 27-item grid where it does not.
 
+`CATALOGUE` is the one table of builtin families and the claims they certify:
+the CLI, the dispatcher and `counterexample_suite` all read it.
+
 Exact rationals only.  Where a construction needs a strict gap around 1/2 we
 use eps = 1/12: subadditivity inside a reference bundle needs
 2 * (1/2 - eps) >= 1/2 + eps, i.e. eps <= 1/6, and 1/12 leaves slack.
@@ -12,11 +15,14 @@ use eps = 1/12: subadditivity inside a reference bundle needs
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
+from typing import NamedTuple
 
-from .core import Allocation, Instance, ItemSet, Partition
+from .core import MAX_ITEMS, Allocation, Instance, ItemSet, Partition, demand_vector, uniform
 from .valuations import (
     AdditiveValuation,
     BundleMaxValuation,
@@ -141,12 +147,10 @@ def instance_half_cap(d) -> Instance:
     while any two agents' blocks intersect, so at most one agent can ever
     reach value above 1/2.
     """
-    d = tuple(int(x) for x in d)
-    size = 1
-    for d_i in d:
-        size *= d_i
-    if size > 1 << 20:
-        raise ValueError(f"product instance with {size} items exceeds the size cap")
+    d = demand_vector(d)
+    size = prod(d)
+    if size > MAX_ITEMS:
+        raise ValueError(f"product instance with {size} items exceeds {MAX_ITEMS} items")
     blocks = half_cap_blocks(d)
     agents = tuple(HalfCapValuation(size, agent_blocks) for agent_blocks in blocks)
     return Instance(size, agents, label="half_cap(" + ",".join(map(str, d)) + ")")
@@ -159,8 +163,8 @@ def instance_n_minus_1(n: int) -> Instance:
     agent always ends up empty-handed, so no positive guarantee is achievable
     when all d_i < n.
     """
-    if n < 2:
-        raise ValueError("need at least two agents")
+    if not 2 <= n <= MAX_ITEMS + 1:
+        raise ValueError(f"need 2..{MAX_ITEMS + 1} agents, got {n}")
     m = n - 1
     return Instance(m, tuple(OnesValuation(m) for _ in range(n)), label=f"n_minus_1({n})")
 
@@ -196,8 +200,8 @@ def instance_floor_n3(n: int) -> Instance:
     disjoint bundles worth 1.  Any allocation giving her at least 1/2 hands
     her two items, leaving n-2 items for n-1 agents who each need one.
     """
-    if n < 3:
-        raise ValueError("need at least three agents")
+    if not 3 <= n <= MAX_ITEMS:
+        raise ValueError(f"need 3..{MAX_ITEMS} agents, got {n}")
     blocks = [
         sum(1 << (3 * k + t) for t in range(3)) for k in range(n // 3)
     ]
@@ -456,97 +460,142 @@ def instance_submodular_6() -> Instance:
     return Instance(6, (v12, v12, v3), label="submodular_6")
 
 
-def counterexample_suite() -> list[tuple[str, bool, str]]:
-    """Run every impossibility construction and its certifying checks.
+# --- the catalogue ---------------------------------------------------------
 
-    Returns one row per construction: (name, passed, detail).  Everything is
-    re-derived on the spot -- class membership, maximin shares, brute-force
-    bounds -- so a passing table certifies the whole catalogue.
-    """
-    from .core import uniform
+
+class Claim(NamedTuple):
+    """A certified negative result on the family's instance `build(*args)`: no
+    allocation meets thresholds `alpha` at demands `d` (kind "not_exists"), or
+    the best ratio every agent can get at `d` is the value in `alpha` (kind "cap")."""
+
+    args: tuple
+    d: tuple[int, ...]
+    alpha: tuple[Fraction, ...]
+    kind: str
+
+
+class Family(NamedTuple):
+    """A builtin family: `name:a,b` builds `build(a, b)`, each argument parsed as
+    `param`, their count admitted by the argparse-style `nargs` (0, 1, "?", "+")."""
+
+    build: Callable[..., Instance]
+    nargs: int | str
+    param: type | None
+    claims: tuple[Claim, ...]
+
+
+# every builtin family by name, in the order the suite re-derives its claims
+# and `protocols.dispatch` tries the three-agent not_exists ones
+CATALOGUE: dict[str, Family] = {
+    "half_cap": Family(lambda *d: instance_half_cap(d), "+", int,
+                       (Claim((2, 2, 2), (2, 2, 2), uniform(_HALF, 3), "cap"),)),
+    "n_minus_1": Family(instance_n_minus_1, 1, int,
+                        (Claim((3,), (2, 2, 2), uniform(_ZERO, 3), "cap"),)),
+    "421": Family(instance_421, 0, None,
+                  (Claim((), (4, 2, 1), uniform(_HALF, 3), "not_exists"),)),
+    "floor_n3": Family(instance_floor_n3, 1, int, tuple(
+        Claim((n,), (n,) * (n - 1) + (n // 3,), (PROBE_EPS,) * (n - 1) + (_HALF,), "not_exists")
+        for n in (3, 6))),
+    "grid27": Family(instance_27, "?", Fraction,
+                     (Claim((), (3, 3, 3), (_ONE, _HALF, _HALF), "not_exists"),)),
+    "submodular_6": Family(instance_submodular_6, 0, None,
+                           (Claim((), (3, 3, 3), uniform(_TWO_THIRDS, 3), "cap"),)),
+}
+
+
+def counterexample_suite() -> list[tuple[str, bool, str]]:
+    """One row (name, passed, detail) per claim of `CATALOGUE`, plus one for the
+    1/3-rounding of 421.  Each claim is re-derived on the spot with its family's
+    audits -- class membership, maximin shares -- so a passing table certifies
+    the whole catalogue."""
     from .mms import mms_value, min_value
     from .oracle import best_alpha, exists_alpha_mms
     from .valuations import is_monotone, is_subadditive, is_submodular, third_transform
 
-    half = Fraction(1, 2)
+    def claims(name):
+        """(row name, instance, claim) for each claim of the family `name`."""
+        family = CATALOGUE[name]
+        for claim in family.claims:
+            row = f"{name}({','.join(map(str, claim.args))})" if claim.args else name
+            yield row, family.build(*claim.args), claim
+
+    def capped(r, claim) -> bool:
+        return claim.kind == "cap" and (r.value,) * len(claim.d) == claim.alpha
+
     rows: list[tuple[str, bool, str]] = []
 
-    hc = instance_half_cap((2, 2, 2))
-    classes_ok = all(
-        is_monotone(v).ok and is_subadditive(v).ok for v in hc.agents
-    )
-    blocks = half_cap_blocks((2, 2, 2))
-    mu_ok = all(
-        min_value(v, Partition(tuple(ItemSet(b, hc.m) for b in bs), hc.ground()))
-        == 1
-        for v, bs in zip(hc.agents, blocks)
-    )
-    cross_ok = all(
-        ItemSet(b1, hc.m) & ItemSet(b2, hc.m)
-        for i, bs1 in enumerate(blocks)
-        for j, bs2 in enumerate(blocks)
-        if i != j
-        for b1 in bs1
-        for b2 in bs2
-    )
-    r = best_alpha(hc, (2, 2, 2))
-    ok = classes_ok and mu_ok and cross_ok and r.value == half
-    rows.append(("half_cap(2,2,2)", ok, f"best alpha {r.value} over {r.visited} allocations"))
+    for row, hc, claim in claims("half_cap"):
+        classes_ok = all(
+            is_monotone(v).ok and is_subadditive(v).ok for v in hc.agents
+        )
+        blocks = half_cap_blocks(claim.args)
+        mu_ok = all(
+            min_value(v, Partition(tuple(ItemSet(b, hc.m) for b in bs), hc.ground()))
+            == 1
+            for v, bs in zip(hc.agents, blocks)
+        )
+        cross_ok = all(
+            ItemSet(b1, hc.m) & ItemSet(b2, hc.m)
+            for i, bs1 in enumerate(blocks)
+            for j, bs2 in enumerate(blocks)
+            if i != j
+            for b1 in bs1
+            for b2 in bs2
+        )
+        r = best_alpha(hc, claim.d)
+        ok = classes_ok and mu_ok and cross_ok and capped(r, claim)
+        rows.append((row, ok, f"best alpha {r.value} over {r.visited} allocations"))
 
-    nm = instance_n_minus_1(3)
-    r = best_alpha(nm, (2, 2, 2))
-    rows.append(("n_minus_1(3)", r.value == 0, f"best alpha {r.value}"))
+    for row, nm, claim in claims("n_minus_1"):
+        r = best_alpha(nm, claim.d)
+        rows.append((row, capped(r, claim), f"best alpha {r.value}"))
 
-    i421 = instance_421()
-    mu = tuple(
-        mms_value(v, i421.ground(), d_i).value for v, d_i in zip(i421.agents, (4, 2, 1))
-    )
-    r = exists_alpha_mms(i421, uniform(half, 3), (4, 2, 1))
-    ok = mu == (1, 1, 1) and r.status == "not_exists"
-    rows.append(("421", ok, f"mu {tuple(map(str, mu))}, uniform 1/2 {r.status}"))
+    for row, i421, claim in claims("421"):
+        mu = tuple(
+            mms_value(v, i421.ground(), d_i).value for v, d_i in zip(i421.agents, claim.d)
+        )
+        r = exists_alpha_mms(i421, claim.alpha, claim.d)
+        ok = mu == (1, 1, 1) and r.status == claim.kind
+        rows.append((row, ok, f"mu {tuple(map(str, mu))}, uniform 1/2 {r.status}"))
 
-    t421 = Instance(4, tuple(third_transform(v) for v in i421.agents), label="third(421)")
-    sub_ok = all(is_subadditive(v).ok for v in t421.agents)
-    r_over = exists_alpha_mms(t421, uniform(Fraction(1, 3) + PROBE_EPS, 3), (4, 2, 1))
-    r_at = exists_alpha_mms(t421, uniform(Fraction(1, 3), 3), (4, 2, 1))
-    ok = sub_ok and r_over.status == "not_exists" and r_at.status == "exists"
-    rows.append(
-        ("third_transform(421)", ok,
-         f"1/3+eps {r_over.status}, exactly 1/3 {r_at.status}")
-    )
-
-    for n in (3, 6):
-        fl = instance_floor_n3(n)
-        alpha = [PROBE_EPS] * (n - 1) + [half]
-        d = [n] * (n - 1) + [n // 3]
-        r = exists_alpha_mms(fl, alpha, d)
+        t421 = Instance(4, tuple(third_transform(v) for v in i421.agents), label="third(421)")
+        sub_ok = all(is_subadditive(v).ok for v in t421.agents)
+        r_over = exists_alpha_mms(t421, uniform(_THIRD + PROBE_EPS, 3), claim.d)
+        r_at = exists_alpha_mms(t421, uniform(_THIRD, 3), claim.d)
+        ok = sub_ok and r_over.status == "not_exists" and r_at.status == "exists"
         rows.append(
-            (f"floor_n3({n})", r.status == "not_exists",
-             f"{r.status} over {r.visited} states")
+            (f"third_transform({row})", ok,
+             f"1/3+eps {r_over.status}, exactly 1/3 {r_at.status}")
         )
 
-    g = instance_27()
-    per_bundle = all(
-        is_monotone(v).ok and is_subadditive(v).ok for v in g.agents
-    )
-    check = structured_check_27()
-    ok = per_bundle and check.nonexistence
-    branches = sum(p.branches for p in check.placements)
-    rows.append(
-        ("grid27", ok,
-         f"claim {check.claim_ok}, per-bundle scans pass, "
-         f"{branches} branches all fail")
-    )
+    for row, fl, claim in claims("floor_n3"):
+        r = exists_alpha_mms(fl, claim.alpha, claim.d)
+        rows.append((row, r.status == claim.kind, f"{r.status} over {r.visited} states"))
 
-    s6 = instance_submodular_6()
-    submod = [is_submodular(v) for v in s6.agents]
-    mu_ok = all(mms_value(v, s6.ground(), 3).value == 1 for v in s6.agents)
-    r = best_alpha(s6, (3, 3, 3))
-    ok = all(c.ok for c in submod) and mu_ok and r.value == Fraction(2, 3)
-    rows.append(
-        ("submodular_6", ok,
-         f"submodular ({submod[0].checked} triples each), best alpha {r.value}")
-    )
+    for row, g, claim in claims("grid27"):
+        per_bundle = all(
+            is_monotone(v).ok and is_subadditive(v).ok for v in g.agents
+        )
+        check = structured_check_27(*claim.args)
+        ok = per_bundle and claim.kind == "not_exists" and check.nonexistence
+        branches = sum(p.branches for p in check.placements)
+        rows.append(
+            (row, ok,
+             f"claim {check.claim_ok}, per-bundle scans pass, "
+             f"{branches} branches all fail")
+        )
+
+    for row, s6, claim in claims("submodular_6"):
+        submod = [is_submodular(v) for v in s6.agents]
+        mu_ok = all(
+            mms_value(v, s6.ground(), d_i).value == 1 for v, d_i in zip(s6.agents, claim.d)
+        )
+        r = best_alpha(s6, claim.d)
+        ok = all(c.ok for c in submod) and mu_ok and capped(r, claim)
+        rows.append(
+            (row, ok,
+             f"submodular ({submod[0].checked} triples each), best alpha {r.value}")
+        )
     return rows
 
 

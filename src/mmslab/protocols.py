@@ -30,12 +30,13 @@ from .core import (
     SubadditivityViolation,
     SubadditivityWitness,
     demand_vector,
+    guarantee_dominates,
     threshold_vector,
 )
 from .cuts import max_desired_half
 from .mms import VerifyResult, min_value, mms_value, verify_alpha_mms_P
 from .valuations import ValuationOracle
-from .counterexamples import has_blocking_subset
+from .counterexamples import CATALOGUE, has_blocking_subset
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -691,9 +692,8 @@ def two_types(
 class ImpossibilityReference:
     """Names the counterexample family witnessing a negative dispatch answer."""
 
-    family: str  # "n_minus_1" | "421" | "floor_n3" | "grid27"
+    family: str  # "n_minus_1" for a blocking subset, else a CATALOGUE name
     detail: str
-    blocking: tuple[int, ...] | None = None
 
 
 def _sorted_desc(d):
@@ -701,28 +701,24 @@ def _sorted_desc(d):
     return order, tuple(d[i] for i in order)
 
 
-def _dominates_sorted(ds, ref) -> bool:
-    return all(x <= r for x, r in zip(ds, ref))
-
-
 def _route_three(mode: str, d) -> tuple[str, tuple[int, ...]] | ImpossibilityReference:
-    """Pick the protocol (and its part counts) or the counterexample family."""
-    order, ds = _sorted_desc(d)
+    """Pick the protocol (and its part counts) or the counterexample family: the
+    first three-agent not_exists claim of `CATALOGUE` that the mode's thresholds
+    at the demands sorted in decreasing order dominate."""
+    _, ds = _sorted_desc(d)
     blocking = has_blocking_subset(d)
     if blocking is not None:
         return ImpossibilityReference(
             "n_minus_1",
             f"agents {list(blocking)} all demand fewer parts than there are of them",
-            blocking,
         )
-    if _dominates_sorted(ds, (4, 2, 1)):
-        return ImpossibilityReference(
-            "421", f"demands {tuple(d)} are dominated by (4, 2, 1)"
-        )
-    if _dominates_sorted(ds, (3, 3, 1)):
-        return ImpossibilityReference(
-            "floor_n3", f"demands {tuple(d)} are dominated by (3, 3, 1)"
-        )
+    alpha = (ONE if mode == "one-half-half" else HALF, HALF, HALF)
+    for name, family in CATALOGUE.items():
+        for claim in family.claims:
+            if (claim.kind == "not_exists" and len(claim.d) == 3
+                    and guarantee_dominates(alpha, ds, claim.alpha, claim.d)):
+                return ImpossibilityReference(
+                    name, f"demands {tuple(d)} are dominated by {claim.d}")
     if mode == "uniform-half":
         if ds[2] == 1:
             if ds[0] >= 4 and ds[1] >= 3:
@@ -730,10 +726,6 @@ def _route_three(mode: str, d) -> tuple[str, tuple[int, ...]] | ImpossibilityRef
             return "521", (5, 2, 1)
         return "322", (3, 2, 2)
     # mode "one-half-half"
-    if ds[0] <= 3:
-        return ImpossibilityReference(
-            "grid27", f"demands {tuple(d)} are dominated by (3, 3, 3)"
-        )
     if ds[2] >= 2:
         return "422", (4, 2, 2)
     if ds[1] >= 3:
@@ -844,6 +836,7 @@ def dispatch(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    d = demand_vector(d)
     if len(d) != inst.n:
         raise ValueError(f"demand vector has {len(d)} entries for {inst.n} agents")
     if inst.n == 3:

@@ -1,10 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmslab import cli
 from mmslab.cli import (
@@ -20,7 +26,9 @@ from mmslab.cli import (
     main,
 )
 from mmslab.core import Instance
-from mmslab.valuations import AdditiveValuation, random_valuation
+from mmslab.counterexamples import CATALOGUE
+from mmslab.protocols import MODES
+from mmslab.valuations import AdditiveValuation, TableValuation, random_valuation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -492,3 +500,115 @@ def test_module_entry_point_reads_sys_argv():
     value = run("mms", "421", "--agent", "1", "--d", "2")
     assert value.returncode == EXIT_OK, value.stderr
     assert value.stdout.startswith("1 : ")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["mms", "n_minus_1", "--agent", "0", "--d", "1"], "n_minus_1 takes one int argument"),
+    (["mms", "floor_n3", "--agent", "0", "--d", "1"], "floor_n3 takes one int argument"),
+    (["mms", "421:5", "--agent", "0", "--d", "1"], "421 takes no arguments"),
+    (["mms", "grid27:1/2,3", "--agent", "0", "--d", "1"],
+     "grid27 takes at most one Fraction argument"),
+    (["check-class", "half_cap:"], "half_cap takes one or more int arguments"),
+    (["check-class", "half_cap:2,x"], "half_cap takes one or more int arguments"),
+    (["mms", "grid27:1/0", "--agent", "0", "--d", "1"],
+     "grid27 takes at most one Fraction argument"),
+    (["mms", "n_minus_1:10000000000", "--agent", "0", "--d", "1"], "need 2..33 agents"),
+])
+def test_builtin_with_wrong_arguments_is_one_error_line(capsys, argv, expected):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert expected in captured.err
+
+
+def test_subadditivity_witness_from_solve_is_one_error_line(tmp_path, capsys):
+    # agent 1 is worth 1 on every set holding {0,1,2} or {3,4,5} and 1/100 on
+    # other nonempty sets, so no 3-of-5 cut halves both of its parts
+    unit = AdditiveValuation([1] * 6)
+    table = [0] + [1 if mask & 7 == 7 or mask & 56 == 56 else Fraction(1, 100)
+                   for mask in range(1, 64)]
+    agents = [unit, TableValuation(6, table, declared_class="subadditive"), unit]
+    rc, _, err = _solve_with_partitions(
+        tmp_path, capsys, agents, [5, 2, 1],
+        [[[0], [1], [2], [3], [4, 5]], [[0, 1, 2], [3, 4, 5]], [[0, 1, 2, 3, 4, 5]]],
+    )
+    assert rc == EXIT_USAGE
+    assert err == ("error: subadditivity violated: no 3-of-5 cut halves both parts: "
+                   "v({0,1}) + v({0,2}) = 1/100 + 1/100 < 1 = v({0,1,2})\n")
+
+
+@pytest.mark.parametrize("d", ["0,2", "-1,2", "2,0,2", "0,3,3,4"])
+def test_demands_below_one_are_refused_on_every_route(tmp_path, capsys, d):
+    n = d.count(",") + 1
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(instance_to_json(Instance(8, (AdditiveValuation([1] * 8),) * n))))
+    assert main(["solve", str(path), f"--d={d}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: demand entries must be positive")
+
+
+_FRACTIONS = ("1/100", "1/4", "1/2")
+
+
+@st.composite
+def _cli_requests(draw):
+    """(argv, instance, partitions, whether a demand is below one) for `mms` on a
+    builtin with a random argument string, or for `solve` on random table
+    agents, not necessarily subadditive, at random demands."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(CATALOGUE)))
+        if draw(st.booleans()):
+            name += ":" + draw(st.text(alphabet="0123456789-/,.e", max_size=6)
+                               | st.lists(st.integers(-1, 4), max_size=4).map(
+                                   lambda xs: ",".join(map(str, xs))))
+        return ["mms", name, "--agent", str(draw(st.integers(-1, 3))),
+                "--d", str(draw(st.integers(-1, 3))), "--max-states", "1000"], None, None, False
+    m = draw(st.integers(3, 6))
+    n = draw(st.integers(2, 4))
+    agents = []
+    for _ in range(n):
+        # worth 1 on every superset of a block, low elsewhere: often not subadditive
+        blocks = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
+        raw = draw(st.lists(st.sampled_from(_FRACTIONS), min_size=1 << m, max_size=1 << m))
+        table = [Fraction(0)]
+        for mask in range(1, 1 << m):  # monotone: at least each one-item-smaller set
+            below = max(table[mask & ~(1 << g)] for g in range(m) if mask >> g & 1)
+            block = any(mask & b == b for b in blocks)
+            table.append(Fraction(1) if block else max(below, Fraction(raw[mask])))
+        agents.append({"class": "subadditive",
+                       "table": {str(mask): str(x) for mask, x in enumerate(table)}})
+    d = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    if draw(st.sampled_from((False, False, True))):  # now and then a demand below one
+        d[draw(st.integers(0, n - 1))] = draw(st.integers(-1, 0))
+    partitions = None
+    if draw(st.booleans()):
+        # d_i parts dealt round-robin from a random item order
+        partitions = [[sorted(order[k::d_i]) for k in range(d_i)] if d_i > 0 else [order]
+                      for d_i, order in zip(d, (draw(st.permutations(range(m))) for _ in d))]
+    argv = ["solve", "INSTANCE", "--alpha", draw(st.sampled_from(MODES)),
+            "--d=" + ",".join(map(str, d))]
+    return argv, {"m": m, "agents": agents}, partitions, min(d) < 1
+
+
+@settings(max_examples=150)
+@given(_cli_requests())
+def test_fuzzed_requests_exit_with_a_code_and_never_a_traceback(request):
+    argv, instance, partitions, low_demand = request
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        if instance is not None:
+            argv[1] = os.path.join(tmp, "i.json")
+            Path(argv[1]).write_text(json.dumps(instance))
+        if partitions is not None:
+            argv += ["--partitions", os.path.join(tmp, "p.json")]
+            Path(argv[-1]).write_text(json.dumps(partitions))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in range(5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if low_demand:
+        assert rc == EXIT_USAGE, argv

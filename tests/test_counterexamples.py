@@ -4,6 +4,7 @@ import pytest
 
 from mmslab.core import Instance, ItemSet, Partition, uniform
 from mmslab.counterexamples import (
+    CATALOGUE,
     GRID_EPS,
     counterexample_suite,
     grid_bstar_family,
@@ -250,3 +251,11 @@ def test_counterexample_suite_all_pass():
     rows = counterexample_suite()
     assert len(rows) == 8
     assert all(ok for _, ok, _ in rows), rows
+    # one row per catalogue claim, plus the 1/3-rounding of 421
+    assert len(rows) == 1 + sum(len(family.claims) for family in CATALOGUE.values())
+
+
+@pytest.mark.parametrize("build", [instance_n_minus_1, instance_floor_n3])
+def test_oversized_families_are_refused_before_any_agent_is_built(build):
+    with pytest.raises(ValueError, match="agents"):
+        build(10**12)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,11 +10,15 @@ from mmslab.core import (
     Partition,
     PreconditionViolation,
     SubadditivityViolation,
+    guarantee_dominates,
 )
+from mmslab.counterexamples import CATALOGUE, has_blocking_subset, structured_check_27
 from mmslab.mms import min_value, mms_value
 from mmslab.oracle import exists_alpha_mms
 from mmslab.protocols import (
+    MODES,
     ImpossibilityReference,
+    _route_three,
     cut_and_choose_two,
     disjoint_extension,
     dispatch_three,
@@ -346,6 +351,44 @@ def test_dispatch_routes_and_families():
         else:
             assert out.trace[0]["protocol"] == expected, (mode, d)
             assert out.verify(inst).ok
+
+
+def _routable_claims():
+    """(family, claim) for every claim `_route_three` can name, in its order."""
+    return [(name, claim) for name, family in CATALOGUE.items() for claim in family.claims
+            if claim.kind == "not_exists" and len(claim.d) == 3]
+
+
+def test_every_claim_the_router_can_name_is_re_derived():
+    claims = _routable_claims()
+    assert [(name, claim.args) for name, claim in claims] == [
+        ("421", ()), ("floor_n3", (3,)), ("grid27", ())
+    ]
+    for name, claim in claims:
+        if name == "grid27":
+            # the structured check searches thresholds (1, 1/2, 1/2) at one slice each
+            assert (claim.alpha, claim.d) == ((1, H, H), (3, 3, 3))
+            assert structured_check_27(*claim.args).nonexistence
+        else:
+            inst = CATALOGUE[name].build(*claim.args)
+            assert exists_alpha_mms(inst, claim.alpha, claim.d).status == "not_exists"
+
+
+def test_every_three_agent_route_is_a_protocol_or_a_dominated_claim():
+    claims = _routable_claims()
+    for mode in MODES:
+        alpha = (1 if mode == "one-half-half" else H, H, H)
+        for d in combinations_with_replacement(range(6, 0, -1), 3):
+            routed = _route_three(mode, d)
+            if not isinstance(routed, ImpossibilityReference):
+                name, counts = routed
+                assert name in ("322", "521", "431", "422"), (mode, d)
+                assert all(c <= x for c, x in zip(counts, d)), (mode, d)
+            elif routed.family == "n_minus_1":
+                assert has_blocking_subset(d) is not None, (mode, d)
+            else:
+                assert any(name == routed.family and guarantee_dominates(alpha, d, c.alpha, c.d)
+                           for name, c in claims), (mode, d)
 
 
 def test_dispatch_one_half_half_alpha_placement():
