@@ -63,9 +63,28 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+# the largest exponent magnitude a rational literal may carry: `Fraction` builds
+# 10**exponent in full, and a plain digit string is capped at this many digits
+# (`sys.get_int_max_str_digits`) anyway
+MAX_EXPONENT = 4300
+
+
 def parse_frac(s) -> Fraction:
+    """The rational `Fraction(str(s))` reads from a CLI or JSON literal, or a
+    `ValueError`; an exponent beyond `MAX_EXPONENT` is refused unbuilt."""
+    if type(s) is int or (type(s) is str and s.isascii() and s.isdigit()):
+        return Fraction(int(s))
+    text = str(s)
+    mark = max(text.rfind("e"), text.rfind("E"))
+    if mark >= 0:
+        try:
+            exponent = int(text[mark + 1:])
+        except ValueError:  # not an exponent: `Fraction` judges the literal
+            exponent = 0
+        if abs(exponent) > MAX_EXPONENT:
+            raise ValueError(f"{text[:40]!r} has an exponent beyond {MAX_EXPONENT}")
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{s!r} divides by zero") from None
 
@@ -211,9 +230,10 @@ def load_instance(name: str) -> Instance:
                          f"the builtins are {', '.join(CATALOGUE)}")
     counts, takes = _NARGS[family.nargs]
     raw = argstr.split(",") if argstr else []
+    parse = parse_frac if family.param is Fraction else family.param
     try:
-        args = [family.param(a) for a in raw] if len(raw) in counts else None
-    except (ValueError, ZeroDivisionError):
+        args = [parse(a) for a in raw] if len(raw) in counts else None
+    except ValueError:
         args = None
     if args is None:
         what = takes.format(family.param.__name__) if family.param else takes

@@ -233,9 +233,9 @@ def demand_vector(values: Sequence[int]) -> tuple[int, ...]:
 
 def threshold_vector(values: Sequence) -> tuple[Fraction, ...]:
     """Validate a vector of per-agent approximation thresholds in [0, 1]."""
-    out = tuple(Fraction(a) for a in values)
+    out = tuple(a if type(a) is Fraction else Fraction(a) for a in values)
     for a in out:
-        if not (0 <= a <= 1):
+        if not (0 <= a.numerator <= a.denominator):  # the denominator is positive
             raise ValueError(f"thresholds must lie in [0, 1], got {a}")
     return out
 

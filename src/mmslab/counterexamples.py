@@ -29,13 +29,12 @@ from .valuations import (
     IntView,
     TableValuation,
     ValuationOracle,
-    local_mask,
 )
 
 GRID_EPS = Fraction(1, 12)
 PROBE_EPS = Fraction(1, 100)
-# shared return values (Fractions are immutable), so that oracle caches hold
-# references rather than one new object per cached set
+# shared values (Fractions are immutable), so that dense tables hold
+# references rather than one new object per entry
 _ZERO, _THIRD, _HALF, _TWO_THIRDS, _ONE = (
     Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)
 )
@@ -50,9 +49,6 @@ class OnesValuation(ValuationOracle):
 
     def __init__(self, m: int):
         super().__init__(m, declared_class="subadditive")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return _ONE if mask else _ZERO
 
     def _int_view(self) -> IntView:
         return IntView(1, _nonempty)
@@ -70,14 +66,6 @@ class HalfCapValuation(ValuationOracle):
             if not 0 < block < 1 << m:
                 raise ValueError(f"half-cap block {block} is not a nonempty subset of {m} items")
         super().__init__(m, declared_class="subadditive")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        if mask == 0:
-            return _ZERO
-        for block in self.blocks:
-            if mask & block == block:
-                return _ONE
-        return _HALF
 
     def _int_view(self) -> IntView:
         blocks = self.blocks
@@ -111,9 +99,6 @@ class MaxBlockThirdsValuation(ValuationOracle):
                 raise ValueError(f"block {block} overlaps an earlier block")
             union |= block
         super().__init__(m, declared_class="subadditive")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(max((mask & block).bit_count() for block in self.blocks), 3)
 
     def _int_view(self) -> IntView:
         blocks = self.blocks
@@ -255,7 +240,7 @@ def _grid_inner_table(axis: int, idx: int, eps: Fraction) -> tuple[Fraction, ...
     own = grid_slice(axis, idx)
     positions = own.items()
     low, high = _HALF - eps, _HALF + eps
-    bstar_local = {local_mask(b.mask, positions) for b in grid_bstar_family(axis, idx)}
+    bstar_local = {sum(1 << positions.index(g) for g in b) for b in grid_bstar_family(axis, idx)}
     table: list[Fraction] = [_ZERO] * 512
     full = 511
     for mask in range(1, 512):

@@ -52,7 +52,8 @@ def min_value(v: ValuationOracle, p: Partition) -> Fraction:
     """Minimum part value of `v` over the partition `p` (covering v's ground)."""
     if p.ground.m != v.m or p.ground.mask != (1 << v.m) - 1:
         raise ValueError("partition must cover the oracle's full ground set")
-    return min(v.value_mask(part.mask) for part in p.parts)
+    view = v.int_view()
+    return Fraction(min(view.value(part.mask) for part in p.parts), view.denom)
 
 
 def _check_budget(m: int, d: int, max_states: int) -> None:

@@ -16,11 +16,14 @@ structured mode below, which is exact for `BundleMaxValuation`).
 Every oracle also has an integer view (`int_view`), which the exact searches
 in `mms` and `oracle` run on: a common denominator D and a function mask ->
 v(S) * D.  It is built on first use, never in a constructor.  Additive, XOS,
-budget-additive, coverage, table, bundle-max and thirds-rounded oracles, and
-the counterexample builtins, rescale their own parameters to integers; any
-other oracle gets the default, D = 1 over its `Fraction` values, and runs
-through the same search code.  `value_mask` and its per-oracle cache stay
-the `Fraction` interface.
+budget-additive, coverage, bundle-max and thirds-rounded oracles, and the
+counterexample builtins, define their values there only, on their own
+parameters rescaled to integers: `value_mask`, the `Fraction` interface,
+returns view(S) / D and caches nothing.  A table oracle's `value_mask` reads
+its table, which is its definition (its view is the table rescaled).  An
+oracle built from a callable caches its `Fraction` answers per mask, and its
+view is the default, D = 1 over those values, run through the same search
+code.
 
 The exhaustive checks scan one dense integer table of the view (`Fraction`
 values brought to one denominator where the view has none); `value_mask`
@@ -105,42 +108,33 @@ class MaskMemo(dict):
         return value
 
 
-def local_mask(global_mask: int, positions: tuple[int, ...]) -> int:
-    """Compress the bits of `global_mask` at `positions` into a dense mask."""
-    out = 0
-    for j, g in enumerate(positions):
-        if (global_mask >> g) & 1:
-            out |= 1 << j
-    return out
-
-
 class ValuationOracle:
-    """A set function queried by bitmask, with a per-mask result cache.
+    """A set function queried by bitmask.
 
-    Concrete families override `_value_mask`; generic oracles can be built
-    directly from a callable on `ItemSet` (used by tests to feed the checkers
-    deliberately broken functions).
+    Concrete families define their values once, as the integer view
+    (`_int_view`), and `value_mask` reads v(S) = view(S) / D off it.  Generic
+    oracles can be built directly from a callable on `ItemSet` (used by tests
+    to feed the checkers deliberately broken functions); their answers are
+    cached per mask, since a callable's cost is unknown.  `value_mask` is
+    defined here only: subclasses override `_value_mask` or `_int_view`.
     """
 
     def __init__(self, m: int, fn=None, declared_class: str = "unknown"):
         self.m = m
         self.declared_class = declared_class
         self._fn = fn
-        self._cache: dict[int, Fraction] = {}
+        self._cache = MaskMemo(lambda mask: Fraction(fn(ItemSet(mask, m)))) if fn else None
         self._view: IntView | None = None
         self._mu_memo: dict[int, Fraction] = {}  # d -> mu^d of all items, see `oracle`
 
     def _value_mask(self, mask: int) -> Fraction:
-        if self._fn is None:
-            raise NotImplementedError
-        return Fraction(self._fn(ItemSet(mask, self.m)))
+        if self._cache is not None:
+            return self._cache[mask]
+        view = self._view or self.int_view()
+        return Fraction(view.value(mask), view.denom)
 
     def value_mask(self, mask: int) -> Fraction:
-        v = self._cache.get(mask)
-        if v is None:
-            v = self._value_mask(mask)
-            self._cache[mask] = v
-        return v
+        return self._value_mask(mask)
 
     def value(self, s: ItemSet) -> Fraction:
         if s.m != self.m:
@@ -154,6 +148,8 @@ class ValuationOracle:
         return self._view
 
     def _int_view(self) -> IntView:
+        if self._cache is None:
+            raise NotImplementedError
         return IntView(1, self.value_mask, integral=False)
 
     def _key(self):
@@ -172,13 +168,10 @@ class AdditiveValuation(ValuationOracle):
     """v(S) = sum of per-item weights over S."""
 
     def __init__(self, weights):
-        self.weights = tuple(Fraction(w) for w in weights)
-        if any(w < 0 for w in self.weights):
+        self.weights = _fractions(weights)
+        if any(w.numerator < 0 for w in self.weights):
             raise ValueError("additive weights must be nonnegative")
         super().__init__(len(self.weights), declared_class="additive")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(_bit_sum(self.weights, mask))
 
     def _int_view(self) -> IntView:
         denom = _denominator(self.weights)
@@ -193,18 +186,15 @@ class XOSValuation(ValuationOracle):
     """Pointwise max of additive clauses (fractionally subadditive)."""
 
     def __init__(self, clauses):
-        self.clauses = tuple(tuple(Fraction(w) for w in c) for c in clauses)
+        self.clauses = tuple(_fractions(c) for c in clauses)
         if not self.clauses:
             raise ValueError("an XOS valuation needs at least one clause")
         m = len(self.clauses[0])
         if any(len(c) != m for c in self.clauses):
             raise ValueError("all clauses must cover the same items")
-        if any(w < 0 for c in self.clauses for w in c):
+        if any(w.numerator < 0 for c in self.clauses for w in c):
             raise ValueError("clause weights must be nonnegative")
         super().__init__(m, declared_class="xos")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(max(_bit_sum(clause, mask) for clause in self.clauses))
 
     def _int_view(self) -> IntView:
         denom = _denominator(w for clause in self.clauses for w in clause)
@@ -282,18 +272,33 @@ class BundleMaxValuation(ValuationOracle):
                         raise ValueError("inner function is not monotone")
         super().__init__(m, declared_class=declared_class)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        best = Fraction(0)
-        for positions, table in zip(self.positions, self.inner_tables):
-            v = table[local_mask(mask, positions)]
-            if v > best:
-                best = v
-        return best
-
     def _int_view(self) -> IntView:
+        """Bundle i's local mask is a bit field of the items renumbered bundle by
+        bundle, gathered through one 512-entry table per 9-bit chunk of the
+        global mask."""
         denom = _denominator(x for t in self.inner_tables for x in t)
-        tables = [(pos, _scale(t, denom)) for pos, t in zip(self.positions, self.inner_tables)]
-        return IntView(denom, lambda mask: max(t[local_mask(mask, pos)] for pos, t in tables))
+        new_bit = [0] * (self.m + 8)  # padded to whole chunks
+        fields, off = [], 0
+        for pos, t in zip(self.positions, self.inner_tables):
+            for j, g in enumerate(pos, off):
+                new_bit[g] = 1 << j
+            fields.append((off, (1 << len(pos)) - 1, _scale(t, denom)))
+            off += len(pos)
+        chunks = []
+        for shift in range(0, self.m, 9):
+            chunk = [0] * 512
+            for x in range(1, 512):  # x's low bit, plus x without it
+                low = x & -x
+                chunk[x] = chunk[x ^ low] | new_bit[shift + low.bit_length() - 1]
+            chunks.append((shift, chunk))
+
+        def value(mask: int) -> int:
+            local = 0
+            for shift, chunk in chunks:
+                local |= chunk[(mask >> shift) & 511]
+            return max([t[(local >> off) & full] for off, full, t in fields])
+
+        return IntView(denom, value)
 
     def _key(self):
         return (tuple(b.mask for b in self.bundles), self.inner_tables)
@@ -303,14 +308,11 @@ class BudgetAdditiveValuation(ValuationOracle):
     """v(S) = min(sum of weights over S, cap); submodular."""
 
     def __init__(self, weights, cap):
-        self.weights = tuple(Fraction(w) for w in weights)
-        self.cap = Fraction(cap)
-        if any(w < 0 for w in self.weights) or self.cap < 0:
+        self.weights = _fractions(weights)
+        self.cap = cap if type(cap) is Fraction else Fraction(cap)
+        if any(w.numerator < 0 for w in self.weights) or self.cap < 0:
             raise ValueError("weights and cap must be nonnegative")
         super().__init__(len(self.weights), declared_class="submodular")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return min(Fraction(_bit_sum(self.weights, mask)), self.cap)
 
     def _int_view(self) -> IntView:
         denom = _denominator(self.weights + (self.cap,))
@@ -330,9 +332,6 @@ class CoverageValuation(ValuationOracle):
         if len(self.covers) != m:
             raise ValueError("one cover mask per item required")
         super().__init__(m, declared_class="submodular")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(self._covered(mask))
 
     def _covered(self, mask: int) -> int:
         covered = 0
@@ -587,16 +586,6 @@ class ThirdRoundedValuation(ValuationOracle):
             raise ValueError("base valuation is not normalized: v(empty) != 0")
         self.base = base
         super().__init__(base.m, declared_class="subadditive")
-
-    def _value_mask(self, mask: int) -> Fraction:
-        if mask == 0:
-            return Fraction(0)
-        v = self.base.value_mask(mask)
-        if v >= 1:
-            return Fraction(1)
-        if v >= Fraction(1, 2):
-            return Fraction(2, 3)
-        return Fraction(1, 3)
 
     def _int_view(self) -> IntView:
         base = self.base.int_view()

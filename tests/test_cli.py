@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -19,11 +20,13 @@ from mmslab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    MAX_EXPONENT,
     canonical_json,
     instance_from_json,
     instance_to_json,
     load_instance,
     main,
+    parse_frac,
 )
 from mmslab.core import Instance
 from mmslab.counterexamples import CATALOGUE
@@ -277,6 +280,7 @@ def test_solve_one_half_half_refused_beyond_three(tmp_path, capsys, agents, d):
         {"m": 4, "agents": [{"class": "submodular", "builtin": "budget_additive",
                              "weights": ["1"] * 4}]},
         {"m": 4, "agents": [{"class": "additive", "weights": ["1/0", "1", "1", "1"]}]},
+        {"m": 4, "agents": [{"class": "additive", "weights": ["1e10000000", "1", "1", "1"]}]},
         {"m": 4, "agents": [[1, 2, 3, 4]]},
         # a half-cap block past item m-1 made the agent worth 1/2 everywhere, 0 worth 1
         {"m": 4, "agents": [{"class": "subadditive", "builtin": "half_cap", "blocks": [1024]}]},
@@ -520,6 +524,61 @@ def test_builtin_with_wrong_arguments_is_one_error_line(capsys, argv, expected):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert expected in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "421", "--d", "4,2,1", "--alpha", "1e10000000,1/2,1/2"],
+    ["oracle", "421", "--d", "4,2,1", "--alpha", "1/2,1/2,1E-10000000"],
+    ["oracle", "grid27:1e10000000", "--d", "3,3,3", "--alpha", "1,1/2,1/2"],
+])
+def test_a_huge_exponent_is_one_error_line_before_it_is_built(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
+# ASCII, Arabic-Indic and superscript digits (the last are no decimal digits)
+_DIGITS = st.sampled_from(
+    ["0", "7", "12", "007", "1_000", "1__0", "\u0661\u0662", "\u00b2", "3\u00b2"]
+)
+
+
+@st.composite
+def _rational_literals(draw):
+    """JSON scalars, or text shaped like a `Fraction` literal with every part
+    optional: sign, p/q, decimals, an exponent within `MAX_EXPONENT`."""
+    kind = draw(st.sampled_from(("json", "literal", "text")))
+    if kind == "json":
+        return draw(st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats())
+    if kind == "text":  # no exponent letter: a random one could be unbounded
+        return draw(st.text(alphabet="0123456789+-/._ \u00b2\u0661", max_size=8))
+    body = draw(st.sampled_from(["", "-", "+"])) + draw(_DIGITS)
+    tail = draw(st.sampled_from(["", "/", ".", "e", "E", ".e"]))
+    if tail == "/":
+        tail += draw(_DIGITS)
+    elif tail.startswith("."):
+        tail = "." + draw(st.sampled_from(["", "5", "25", "\u0661"])) + tail[1:]
+    if tail.endswith(("e", "E")):
+        tail += draw(st.sampled_from(["", "-", "+"])) + str(draw(st.integers(0, MAX_EXPONENT)))
+    return draw(_SPACE) + body + tail + draw(_SPACE)
+
+
+@settings(max_examples=300)
+@given(_rational_literals())
+def test_parse_frac_reads_what_fraction_reads(s):
+    try:
+        expected = Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        expected = ValueError
+    try:
+        got = parse_frac(s)
+    except ValueError:
+        got = ValueError
+    assert got == expected and type(got) is type(expected)
 
 
 def test_subadditivity_witness_from_solve_is_one_error_line(tmp_path, capsys):

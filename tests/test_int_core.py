@@ -44,6 +44,8 @@ from mmslab.valuations import (
     third_transform,
 )
 
+from helpers import reference_value
+
 DENOMS = (1, 3, 7, 6, 2, 5)
 
 
@@ -291,6 +293,23 @@ def test_int_view_is_value_mask_times_denominator_on_every_mask():
         for _ in range(2000):
             x = rng.getrandbits(27)
             assert view.value(x) == v.value_mask(x) * view.denom
+
+
+def test_value_mask_is_each_familys_fraction_formula():
+    oracles = every_oracle()
+    assert {type(v).__name__ for v in oracles} >= {
+        "AdditiveValuation", "XOSValuation", "BudgetAdditiveValuation",
+        "CoverageValuation", "TableValuation", "BundleMaxValuation",
+        "ThirdRoundedValuation", "OnesValuation", "HalfCapValuation",
+        "MaxBlockThirdsValuation", "ValuationOracle",
+    }
+    for v in oracles:
+        assert all(v.value_mask(x) == reference_value(v, x) for x in range(1 << v.m))
+    rng = random.Random(6)
+    for v in instance_27().agents:  # the same seeded sample as above
+        for _ in range(2000):
+            x = rng.getrandbits(27)
+            assert v.value_mask(x) == reference_value(v, x)
 
 
 def test_grid_slices_share_one_inner_table():
