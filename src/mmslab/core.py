@@ -231,12 +231,20 @@ def demand_vector(values: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
+def _leading_digits(k: int) -> str:
+    """At least 40 leading digits of k >= 0: `str` refuses ints past 4300 digits."""
+    return str(k // 10 ** max(0, (k.bit_length() - 140) * 3 // 10))
+
+
 def threshold_vector(values: Sequence) -> tuple[Fraction, ...]:
     """Validate a vector of per-agent approximation thresholds in [0, 1]."""
     out = tuple(a if type(a) is Fraction else Fraction(a) for a in values)
     for a in out:
         if not (0 <= a.numerator <= a.denominator):  # the denominator is positive
-            raise ValueError(f"thresholds must lie in [0, 1], got {a}")
+            text = ("-" if a < 0 else "") + _leading_digits(abs(a.numerator))
+            if a.denominator != 1:
+                text += "/" + _leading_digits(a.denominator)
+            raise ValueError(f"thresholds must lie in [0, 1], got {text[:40]}")
     return out
 
 

@@ -1,16 +1,18 @@
-"""Exact maximin-share computation and guarantee verification.
+"""Exact maximin-share computation, the one pruned search, and verification.
+
+`search` is the package's pruned depth-first search of items into bins.  It
+skips subtrees by a monotone bound and a count rule, and visits one
+assignment per orbit of interchangeable bins (Margot, "Symmetry in integer
+linear programming", 2010; Ostrowski et al., "Orbital branching", 2011).
+`oracle` runs it with one bin per agent.
 
 `mms_value` maximizes, over all partitions of the ground set into at most d
-parts, the minimum part value.  The search is exact and runs on the oracle's
-integer view (`ValuationOracle.int_view`: v(S) times a common denominator),
-memoized in a dict that lives only as long as the search.  It is a
-depth-first walk over restricted-growth strings: items keep their order, and
-an item may open a new part only as the first empty one, so each set
-partition is visited once, under its lexicographically smallest labelling.
-The bound min_j v(S_j | unassigned) prunes a subtree that cannot strictly
-improve on the incumbent; it is valid because valuations are monotone.  The
-result is therefore the lexicographically first optimal assignment of items
-to parts.  Budgets refuse instead of approximating.  A second, independent
+parts, the minimum part value: `search` on d interchangeable bins, scored on
+the oracle's integer view (`ValuationOracle.int_view`: v(S) times a common
+denominator).  On one class of bins the orbit rule leaves exactly the
+restricted-growth strings, each set partition under its lexicographically
+smallest labelling, so the result is the lexicographically first optimal
+assignment.  Budgets refuse instead of approximating.  A second, independent
 engine (`mms_value_rgs`) enumerates restricted-growth strings on the
 `Fraction` values with no pruning; the two must agree, and tests hold them
 to that.
@@ -63,6 +65,67 @@ def _check_budget(m: int, d: int, max_states: int) -> None:
         )
 
 
+def search(scores: list[MaskMemo], bits: list[int], floor, stop: bool, prev: list[int]):
+    """Depth first over the assignments of the items `bits` to the bins.
+
+    A leaf scores the minimum over bins b of scores[b][bundle b].  Leaves come
+    in lexicographic order of the assignment vector (item 0 most significant,
+    bin 0 first).  Each leaf that strictly beats the floor (None: any leaf
+    does) becomes the new floor; with `stop` the search ends there.  A subtree
+    is skipped when some bin scores at most the floor even with every
+    unassigned item (scores are monotone), or when more bins do than items
+    remain (each needs one more).  Bins b and prev[b] (-1: none) are
+    interchangeable, and an empty bin b may take an item only once prev[b] is
+    nonempty, so only the lexicographically first assignment of each orbit is
+    visited.  A node where u of a class's c bins are open stands for the
+    prod c!/(c-u)! members of its orbit; each leaf, and each skipped subtree's
+    n^(m-k) leaves, count that many into `visited`.  Returns (best,
+    best_masks, visited, nodes entered); best_masks is None when no leaf beat
+    the initial floor.
+    """
+    n, m = len(scores), len(bits)
+    rests = [sum(bits[k:]) for k in range(m + 1)]  # items k..m-1
+    # opening bin b multiplies the orbit by the number of its class's bins from b on
+    grow = [1] * n
+    for b in range(n - 1, -1, -1):
+        if prev[b] >= 0:
+            grow[prev[b]] = grow[b] + 1
+    masks = [0] * n
+    best, best_masks = floor, None
+    visited = nodes = 0
+
+    def enter(k: int, orbit: int) -> bool:
+        nonlocal best, best_masks, visited, nodes
+        nodes += 1
+        if k == m:
+            visited += orbit
+            score = min([s[x] for s, x in zip(scores, masks)])
+            if best is None or score > best:
+                best, best_masks = score, tuple(masks)
+                return stop
+            return False
+        if best is not None:
+            rest = rests[k]
+            if min([s[x | rest] for s, x in zip(scores, masks)]) <= best or (
+                m - k < n and sum([s[x] <= best for s, x in zip(scores, masks)]) > m - k
+            ):
+                visited += orbit * n ** (m - k)
+                return False
+        bit = bits[k]
+        for b in range(n):
+            x = masks[b]
+            if x or prev[b] < 0 or masks[prev[b]]:
+                masks[b] = x | bit
+                if enter(k + 1, orbit if x else orbit * grow[b]):
+                    return True
+                masks[b] = x
+        return False
+
+    enter(0, 1)
+    del enter  # break the closure's cycle through itself, so the memos are freed now
+    return best, best_masks, visited, nodes
+
+
 def mms_value(
     v: ValuationOracle, ground: ItemSet, d: int, max_states: int = DEFAULT_MMS_STATES
 ) -> MmsResult:
@@ -89,42 +152,10 @@ def mms_value(
     _check_budget(m, d, max_states)
 
     view = v.int_view()
-    value_of = MaskMemo(view.value)
-    best = None
-    best_masks: tuple[int, ...] | None = None
-    masks = [0] * d
-    masks[0] = 1 << items[0]
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << items[i])
-
-    def walk(i: int, used: int) -> None:
-        # parts 0..used-1 are open; part `used` is the only one item i may open
-        nonlocal best, best_masks
-        if i == m:
-            value = min([value_of[mask] for mask in masks])
-            if best is None or value > best:
-                best = value
-                best_masks = tuple(masks)
-            return
-        if best is not None:
-            rest = suffix[i]
-            if min([value_of[mask | rest] for mask in masks]) <= best:
-                return
-        bit = 1 << items[i]
-        for j in range(used):
-            masks[j] |= bit
-            walk(i + 1, used)
-            masks[j] ^= bit
-        if used < d:
-            masks[used] = bit
-            walk(i + 1, used + 1)
-            masks[used] = 0
-
-    walk(1, 1)
-    del walk  # break the closure's cycle through itself, so the memo is freed now
-    assert best is not None and best_masks is not None
-    parts = tuple(ItemSet(mask, ground.m) for mask in best_masks)
+    best, masks, _, _ = search(
+        [MaskMemo(view.value)] * d, [1 << g for g in items], None, False, list(range(-1, d - 1))
+    )
+    parts = tuple(ItemSet(mask, ground.m) for mask in masks)
     return MmsResult(Fraction(best, view.denom), Partition(parts, ground))
 
 

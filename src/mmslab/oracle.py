@@ -7,21 +7,21 @@ every item to some agent (n^m assignments); the pruning-disabled variant
 keeps the discard branch ((n+1)^m) and must agree -- tests hold both
 implementations to that.
 
-`exists_alpha_mms` and `best_alpha` share one walk on that n^m space
-(`_walk`): depth first over the items, in the lexicographic order of the
-assignment vector, updating the agents' bundle masks in place.  Each agent's
-bundle is scored on its integer view, memoized for the one search: 1 or 0 as
-it meets its threshold rounded up to the view's scale, or its ratio to mu_i
-brought to one common denominator, so that ratios compare as integers.  The
-walk skips a subtree that cannot beat the floor (0 for existence, the
-incumbent for the best ratio): some agent stays at or below it even with
-every unassigned item, or more agents sit at or below it than items remain.
-A skipped subtree's leaves still count into `visited`, so `visited` accounts
-for the whole space a "not_exists" or a best ratio rests on, and status,
-value and witness are those of the plain lexicographic enumeration; `nodes`
-counts the nodes the walk entered.  Each oracle's mu is computed once and
-remembered on the oracle.  The `prune=False` variant keeps plain `Fraction`
-arithmetic over `itertools.product`, as the independent reference.
+With `prune`, `exists_alpha_mms` and `best_alpha` run `mms.search` with one
+bin per agent.  Each bundle is scored on the agent's integer view, memoized
+for the one search: 1 or 0 as it meets the threshold rounded up to the
+view's scale, or its ratio to mu_i brought to one common denominator, so
+that ratios compare as integers.  Agents are interchangeable, and share one
+memo, when their oracles compare equal and they have the same threshold
+(existence) or the same mu (best ratio).  Status, value and witness are
+those of the plain lexicographic enumeration.  `visited` counts leaves as
+that enumeration does: every leaf of a "not_exists" or best-ratio search,
+each orbit and skipped subtree in full; for an "exists" witness, its rank
+in the lexicographic order, plus 1 for the empty allocation tried first.
+`nodes` counts the nodes the search entered.  Each oracle's mu is computed
+once and remembered on the oracle.  The `prune=False` variant keeps plain
+`Fraction` arithmetic over `itertools.product`, as the independent
+reference.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .core import (
     demand_vector,
     threshold_vector,
 )
-from .mms import DEFAULT_MMS_STATES, _check_budget, mms_value
+from .mms import DEFAULT_MMS_STATES, _check_budget, mms_value, search
 from .valuations import MaskMemo
 
 
@@ -61,9 +61,9 @@ class ExistsResult:
     status: "exists" (witness attached), "not_exists" (full space visited),
     or "refused" (budget).  `space` is the enumerated assignment space,
     `pruned` the size of the discard branch removed by monotone dominance.
-    `visited` counts the assignments accounted for, skipped subtrees
-    included; `nodes` the search nodes the `prune` walk entered (0 when no
-    walk ran).
+    `visited` counts the assignments accounted for, as the plain enumeration
+    would (see the module docstring); `nodes` the nodes `mms.search` entered
+    (0 when it did not run).
     """
 
     status: str
@@ -119,61 +119,17 @@ def _mu_vector(inst: Instance, d, budget: SearchBudget):
     return tuple(_mu(v, d_i, budget) for v, d_i in zip(inst.agents, d))
 
 
-def _walk(scores: list[MaskMemo], m: int, floor, stop: bool):
-    """Depth first over every assignment of items 0..m-1 to the agents.
+def _orbits(agents, keys) -> list[int]:
+    """prev[i]: the last agent before i that is interchangeable with i, or -1.
 
-    Leaves come in lexicographic order of the assignment vector (item 0 is
-    the most significant digit, agent 0 first), the order of
-    `itertools.product`.  A leaf scores min_i scores[i][A_i].  Each leaf
-    that strictly beats the floor becomes the new floor (`floor` None: the
-    first leaf does); with `stop` the walk ends at the first such leaf.
-
-    A subtree cannot beat the floor, and is skipped, when some agent scores
-    at most the floor even with every unassigned item added to its bundle
-    (valuations are monotone), or when more agents score at most the floor
-    than items remain (each of them needs one more).  A skipped subtree's
-    n^(m-k) leaves still count into `visited`, so that `visited` accounts
-    for the whole space behind the result; `nodes` counts the nodes entered.
-
-    Returns (best, best_masks, visited, nodes); best_masks is None when no
-    leaf beat the initial floor.
+    Agents are interchangeable when their oracles compare equal and their
+    keys (thresholds, or mu) are equal: swapping their bundles changes no
+    score, so `search` may keep one assignment of each orbit.
     """
-    n = len(scores)
-    full = (1 << m) - 1
-    rests = [full >> k << k for k in range(m + 1)]  # items k..m-1
-    sizes = [n ** (m - k) for k in range(m + 1)]
-    masks = [0] * n
-    best, best_masks = floor, None
-    visited = nodes = 0
-
-    def enter(k: int) -> bool:
-        nonlocal best, best_masks, visited, nodes
-        nodes += 1
-        if k == m:
-            visited += 1
-            score = min([s[x] for s, x in zip(scores, masks)])
-            if best is None or score > best:
-                best, best_masks = score, tuple(masks)
-                return stop
-            return False
-        if best is not None:
-            rest = rests[k]
-            if min([s[x | rest] for s, x in zip(scores, masks)]) <= best or (
-                m - k < n and sum([s[x] <= best for s, x in zip(scores, masks)]) > m - k
-            ):
-                visited += sizes[k]
-                return False
-        bit = 1 << k
-        for a in range(n):
-            masks[a] |= bit
-            if enter(k + 1):
-                return True
-            masks[a] ^= bit
-        return False
-
-    enter(0)
-    del enter  # break the closure's cycle through itself, so the memos are freed now
-    return best, best_masks, visited, nodes
+    return [
+        next((j for j in range(i - 1, -1, -1) if keys[j] == key and agents[j] == v), -1)
+        for i, (v, key) in enumerate(zip(agents, keys))
+    ]
 
 
 def _assignment_masks(assignment, n: int) -> list[int]:
@@ -225,14 +181,19 @@ def exists_alpha_mms(
         return ExistsResult("exists", empty, visited, space, pruned, mu)
 
     if prune:
+        prev = _orbits(inst.agents, thresholds)
         meets = []
-        for v, t in zip(inst.agents, thresholds):
+        for v, t, p in zip(inst.agents, thresholds, prev):
             view = v.int_view()
-            meets.append(MaskMemo(lambda mask, f=view.value, x=view.at_least(t): f(mask) >= x))
-        _, masks, leaves, nodes = _walk(meets, m, 0, stop=True)
-        visited += leaves
+            meets.append(meets[p] if p >= 0 else MaskMemo(
+                lambda mask, f=view.value, x=view.at_least(t): f(mask) >= x))
+        _, masks, leaves, nodes = search(meets, [1 << g for g in range(m)], 0, True, prev)
         if masks is None:
+            visited += leaves
             return ExistsResult("not_exists", None, visited, space, pruned, mu, nodes=nodes)
+        # the witness's rank among all n^m leaves, counted from 1
+        visited += 1 + sum(a * n ** (m - 1 - g) for a, x in enumerate(masks)
+                           for g in range(m) if x >> g & 1)
         bundles = tuple(ItemSet(mask, m) for mask in masks)
         return ExistsResult("exists", Allocation(bundles), visited, space, pruned, mu, nodes=nodes)
 
@@ -280,7 +241,27 @@ def best_alpha(
         return BestAlphaResult("ok", None, empty, 1, space, mu)
 
     if prune:
-        return _best_alpha_walk(inst, mu, active, space)
+        # agent i's ratio is view_i(A_i) / (denom_i * mu_i).  Writing denom_i * mu_i
+        # = p_i / q_i and L = lcm of the p_i, it equals view_i(A_i) * q_i * (L / p_i)
+        # / L, so every ratio is compared as an integer over the one denominator L
+        views = [v.int_view() for v in inst.agents]
+        scales = [view.denom * u for view, u in zip(views, mu)]
+        common = lcm(*(x.numerator for x in scales if x))
+        prev = _orbits(inst.agents, mu)
+        scores = []
+        for view, x, p in zip(views, scales, prev):
+            if p >= 0:
+                scores.append(scores[p])
+            elif x:
+                c = x.denominator * (common // x.numerator)
+                scores.append(MaskMemo(lambda mask, f=view.value, c=c: f(mask) * c))
+            else:  # mu_i = 0: agent i never binds
+                scores.append(MaskMemo(lambda mask: inf))
+        best, masks, visited, nodes = search(scores, [1 << g for g in range(m)], None, False, prev)
+        bundles = tuple(ItemSet(mask, m) for mask in masks)
+        return BestAlphaResult(
+            "ok", Fraction(best, common), Allocation(bundles), visited, space, mu, nodes=nodes
+        )
 
     values = [v.value_mask for v in inst.agents]
     best: Fraction | None = None
@@ -295,29 +276,3 @@ def best_alpha(
             best_assignment = masks
     bundles = tuple(ItemSet(mask, m) for mask in best_assignment)
     return BestAlphaResult("ok", best, Allocation(bundles), visited, space, mu)
-
-
-def _best_alpha_walk(inst: Instance, mu, active: list[int], space: int) -> BestAlphaResult:
-    """The `prune` path of `best_alpha`: the same result, on integer views.
-
-    Agent i's ratio is view_i(A_i) / (denom_i * mu_i).  Writing
-    denom_i * mu_i = p_i / q_i and L = lcm of the p_i, the ratio equals
-    view_i(A_i) * q_i * (L / p_i) / L, so every ratio is compared as an
-    integer over the one denominator L.
-    """
-    m = inst.m
-    views = [v.int_view() for v in inst.agents]
-    scales = {i: views[i].denom * mu[i] for i in active}
-    common = lcm(*(x.numerator for x in scales.values()))
-    scores = []
-    for i, view in enumerate(views):
-        if i in scales:
-            c = scales[i].denominator * (common // scales[i].numerator)
-            scores.append(MaskMemo(lambda mask, f=view.value, c=c: f(mask) * c))
-        else:  # mu_i = 0: agent i never binds
-            scores.append(MaskMemo(lambda mask: inf))
-    best, best_masks, visited, nodes = _walk(scores, m, None, stop=False)
-    bundles = tuple(ItemSet(mask, m) for mask in best_masks)
-    return BestAlphaResult(
-        "ok", Fraction(best, common), Allocation(bundles), visited, space, mu, nodes=nodes
-    )

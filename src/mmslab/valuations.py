@@ -600,7 +600,7 @@ class ThirdRoundedValuation(ValuationOracle):
         return IntView(3, thirds)
 
     def _key(self):
-        return self.base._key()
+        return type(self.base), self.base._key()
 
 
 def third_transform(v: ValuationOracle) -> ValuationOracle:

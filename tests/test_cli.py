@@ -540,6 +540,15 @@ def test_a_huge_exponent_is_one_error_line_before_it_is_built(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alpha", ["1e4300,1/2,1/2", "1e4299,1/2,1/2"])
+def test_a_long_threshold_is_clipped_in_its_error_line(capsys, alpha):
+    assert main(["oracle", "421", "--d", "4,2,1", "--alpha", alpha]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: thresholds must lie in [0, 1], got 1000")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 100
+
+
 _SPACE = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
 # ASCII, Arabic-Indic and superscript digits (the last are no decimal digits)
 _DIGITS = st.sampled_from(

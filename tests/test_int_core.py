@@ -9,7 +9,9 @@ class checkers run on integer tables; they are held to `Fraction` scans
 written here, failures and witnesses included.
 """
 
+import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -273,6 +275,95 @@ def test_allocation_walk_with_a_zero_mu_agent():
     v = AdditiveValuation([Fraction(1, 3), Fraction(2, 7), Fraction(5, 6), 1])
     inst = Instance(4, (v, AdditiveValuation([1, 0, 0, 0]), v))
     assert_searches_match(inst, (2, 2, 2), random.Random(4))
+
+
+def test_equal_oracles_with_unequal_scores_are_not_interchangeable():
+    H = Fraction(1, 2)
+    v = XOSValuation([[1, 2, 0, 3, 1], [2, 0, 2, 1, 1]])
+    w = XOSValuation([[1, 2, 0, 3, 1], [2, 0, 2, 1, 1]])
+    assert w == v and w is not v
+    cases = [
+        # one oracle object at two demands: two mu, so two score functions
+        (Instance(5, (v, AdditiveValuation([1, 1, 2, 0, 1]), v)), (2, 2, 3), []),
+        # two separate but equal oracles at unequal thresholds
+        (Instance(5, (v, w, v)), (2, 2, 2), [(H, 1, H), (1, H, H), (1, 0, 1)]),
+    ]
+    assert len(set(own_mu(*cases[0][:2]))) == 3
+    for seed, (inst, d, alphas) in enumerate(cases):
+        assert_searches_match(inst, d, random.Random(seed), alphas)
+        a, b = best_alpha(inst, d), best_alpha(inst, d, prune=False)
+        assert (a.value, a.witness) == (b.value, b.witness)
+        for alpha in alphas:
+            a, b = exists_alpha_mms(inst, alpha, d), exists_alpha_mms(inst, alpha, d, prune=False)
+            assert (a.status, a.witness) == (b.status, b.witness)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_floor_n3_claim_is_refused_in_few_nodes(n):
+    inst = instance_floor_n3(n)
+    alpha = [Fraction(1, 100)] * (n - 1) + [Fraction(1, 2)]
+    start = time.perf_counter()
+    r = exists_alpha_mms(inst, alpha, [n] * (n - 1) + [n // 3],
+                         budget=SearchBudget(max_assignments=10**9))
+    seconds = time.perf_counter() - start
+    assert r.status == "not_exists" and r.visited == r.space + 1 == n**n + 1
+    assert r.nodes < 1000
+    assert n < 9 or seconds < 0.5
+
+
+def _masks(allocation):
+    return None if allocation is None else [b.mask for b in allocation]
+
+
+def _corpus_instance(rng: random.Random) -> tuple[Instance, tuple[int, ...]]:
+    """2-4 agents drawn from two kinds of oracle, each kind as two separate but
+    equal objects, so agents repeat, as one object or as equal ones."""
+    m = rng.randint(3, 6)
+    n = rng.randint(2, 4 if m <= 5 else 3)
+    seed = rng.randint(0, 3)
+    twins = (oracle_zoo(m, seed), oracle_zoo(m, seed))
+    kinds = rng.sample(range(len(twins[0])), 2)
+    agents = tuple(rng.choice(twins)[rng.choice(kinds)] for _ in range(n))
+    if rng.random() < 0.5:
+        d = (rng.randint(1, 3),) * n
+    else:
+        d = tuple(rng.randint(1, 3) for _ in range(n))
+    return Instance(m, agents), d
+
+
+# SHA-256 of the corpus's answers as given by the two searches that `mms.search`
+# replaced: `mms_value`'s restricted-growth walk and the allocation walk
+SEARCH_CORPUS_SHA256 = "2745d7623a563edd63303fb831ab753b27a216eafa7a46649492f9025976e3fb"
+
+
+def test_search_corpus_keeps_its_answers():
+    digest = hashlib.sha256()
+    rng = random.Random("search-corpus")
+    for _ in range(520):
+        m = rng.randint(3, 7)
+        v = rng.choice(oracle_zoo(m, rng.randint(0, 3)))
+        if rng.random() < 0.3:
+            ground = ItemSet(rng.getrandbits(m), m)
+        else:
+            ground = ItemSet.full(m)
+        r = mms_value(v, ground, rng.randint(1, 4))
+        digest.update(repr((r.value, _masks(r.witness.parts))).encode())
+    for _ in range(520):
+        inst, d = _corpus_instance(rng)
+        r = best_alpha(inst, d)
+        digest.update(repr((r.status, r.value, _masks(r.witness), r.visited, r.space,
+                            r.mu, r.reason)).encode())
+    for _ in range(520):
+        inst, d = _corpus_instance(rng)
+        steps = (0, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6), 1)
+        if rng.random() < 0.5:
+            alpha = (rng.choice(steps),) * inst.n
+        else:
+            alpha = tuple(rng.choice(steps) for _ in range(inst.n))
+        r = exists_alpha_mms(inst, alpha, d)
+        digest.update(repr((r.status, _masks(r.witness), r.visited, r.space, r.pruned,
+                            r.mu, r.reason)).encode())
+    assert digest.hexdigest() == SEARCH_CORPUS_SHA256
 
 
 # --- integer views and class checkers ---------------------------------------------

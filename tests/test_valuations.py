@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mmslab.core import ItemSet
-from mmslab.counterexamples import instance_27, instance_half_cap
+from mmslab.counterexamples import (
+    HalfCapValuation,
+    MaxBlockThirdsValuation,
+    instance_27,
+    instance_half_cap,
+)
 from mmslab.valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,
@@ -108,6 +113,15 @@ def test_third_transform_cases():
     assert third_transform(v2).value(ItemSet.of(3, [1])) == 1
     v3 = ValuationOracle(3, lambda s: Fraction(1, 5) if s else Fraction(0))
     assert third_transform(v3).value(ItemSet.of(3, [1])) == Fraction(1, 3)
+
+
+def test_third_transforms_of_unequal_bases_are_unequal():
+    # the two bases have equal keys but different types and values
+    half = third_transform(HalfCapValuation(3, [7]))
+    thirds = third_transform(MaxBlockThirdsValuation(3, [7]))
+    assert (half.value_mask(1), thirds.value_mask(1)) == (Fraction(2, 3), Fraction(1, 3))
+    assert half != thirds
+    assert third_transform(HalfCapValuation(3, [7])) == half
 
 
 def test_third_transform_rejects_unnormalized():
