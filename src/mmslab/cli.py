@@ -64,17 +64,27 @@ def frac_str(x: Fraction) -> str:
 
 
 # the largest exponent magnitude a rational literal may carry: `Fraction` builds
-# 10**exponent in full, and a plain digit string is capped at this many digits
-# (`sys.get_int_max_str_digits`) anyway
+# 10**exponent in full.  It is also the most digits a literal may hold, since
+# `int` refuses to read more (`sys.get_int_max_str_digits`)
 MAX_EXPONENT = 4300
+
+
+def _within_digits(text: str) -> str:
+    """`text`, or a `ValueError` quoting its start if it has over `MAX_EXPONENT` digits."""
+    if len(text) > MAX_EXPONENT and sum(c.isdigit() for c in text) > MAX_EXPONENT:
+        raise ValueError(f"{text[:40]!r} has more than {MAX_EXPONENT} digits")
+    return text
 
 
 def parse_frac(s) -> Fraction:
     """The rational `Fraction(str(s))` reads from a CLI or JSON literal, or a
-    `ValueError`; an exponent beyond `MAX_EXPONENT` is refused unbuilt."""
-    if type(s) is int or (type(s) is str and s.isascii() and s.isdigit()):
+    `ValueError`; an exponent beyond `MAX_EXPONENT`, or more digits than that,
+    is refused unbuilt."""
+    if type(s) is int or (
+        type(s) is str and s.isascii() and s.isdigit() and len(s) <= MAX_EXPONENT
+    ):
         return Fraction(int(s))
-    text = str(s)
+    text = _within_digits(str(s))
     mark = max(text.rfind("e"), text.rfind("E"))
     if mark >= 0:
         try:
@@ -284,12 +294,20 @@ def _partition_from_json(obj, m: int) -> Partition:
 # --- helpers ------------------------------------------------------------------
 
 
+def _parse_list(text: str, option: str, parse) -> list:
+    """The comma-separated literals given as `option`, each read by `parse`."""
+    try:
+        return [parse(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    return _parse_list(text, "--d", lambda x: int(_within_digits(x)))
 
 
 def _parse_frac_list(text: str) -> list[Fraction]:
-    return [parse_frac(x) for x in text.split(",") if x]
+    return _parse_list(text, "--alpha", parse_frac)
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
@@ -311,6 +329,8 @@ def cmd_mms(args) -> int:
     inst = load_instance(args.instance)
     if not (0 <= args.agent < inst.n):
         raise ValueError(f"agent index {args.agent} outside 0..{inst.n - 1}")
+    if args.d > MAX_ITEMS:  # no instance has more items: a larger d adds only empty parts
+        raise ValueError(f"--d must be at most {MAX_ITEMS}, got {str(args.d)[:40]}")
     result = mms_value(inst.agents[args.agent], inst.ground(), args.d, max_states=args.max_states)
     witness = [sorted(part) for part in result.witness.parts]
     _emit(

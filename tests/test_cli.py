@@ -73,6 +73,18 @@ def test_cmd_mms_budget(capsys):
     assert rc == EXIT_BUDGET
 
 
+def test_cmd_mms_refuses_more_parts_than_any_instance_has_items(capsys):
+    # a larger d only pads the partition with empty parts, one list entry each
+    for d in ("33", "100000000"):
+        assert main(["mms", "421", "--agent", "0", "--d", d]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --d must be at most 32, got {d}\n"
+    assert main(["mms", "421", "--agent", "0", "--d", "6"]) == EXIT_OK
+    assert capsys.readouterr().out == "0 : ({0}, {1}, {2}, {3}, {}, {})\n"
+    assert main(["mms", "421", "--agent", "0", "--d", "32"]) == EXIT_OK
+
+
 def test_cmd_mms_json(capsys):
     rc = main(["mms", "421", "--agent", "2", "--d", "1", "--format", "json"])
     assert rc == EXIT_OK
@@ -547,6 +559,18 @@ def test_a_long_threshold_is_clipped_in_its_error_line(capsys, alpha):
     assert captured.out == ""
     assert captured.err.startswith("error: thresholds must lie in [0, 1], got 1000")
     assert captured.err.count("\n") == 1 and len(captured.err) < 100
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["oracle", "421", "--d", "4,2,1", "--alpha", "1" * 5000 + ",1/2,1/2"], "--alpha"),
+    (["solve", "421", "--d", "1" * 5000 + ",2,1"], "--d"),
+])
+def test_a_literal_past_the_digit_limit_names_its_argument(capsys, argv, option):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: {'1' * 40!r} has more than {MAX_EXPONENT} digits\n"
+    assert "set_int_max_str_digits" not in captured.err
 
 
 _SPACE = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])

@@ -30,6 +30,7 @@ from mmslab.counterexamples import (
 from mmslab.mms import mms_value, mms_value_rgs
 from mmslab.oracle import SearchBudget, best_alpha, exists_alpha_mms
 from mmslab.valuations import (
+    RANDOM_CLASSES,
     AdditiveValuation,
     BudgetAdditiveValuation,
     BundleMaxValuation,
@@ -40,9 +41,12 @@ from mmslab.valuations import (
     TableValuation,
     ValuationOracle,
     XOSValuation,
+    _dense_ints,
+    _locally_submodular,
     is_monotone,
     is_subadditive,
     is_submodular,
+    random_valuation,
     third_transform,
 )
 
@@ -386,6 +390,18 @@ def test_int_view_is_value_mask_times_denominator_on_every_mask():
             assert view.value(x) == v.value_mask(x) * view.denom
 
 
+def test_checker_tables_are_the_view_on_every_mask():
+    # the random families build theirs by subset doubling, the rest map the view
+    seeded = [random_valuation(cls, m, seed) for cls in RANDOM_CLASSES
+              for m in range(1, 11) for seed in range(2)]
+    seeded += [random_valuation("xos", m, 0, clauses=1) for m in (1, 4)]
+    for v in every_oracle() + seeded:
+        view = v.int_view()
+        table = v._int_table()
+        assert table == [view.value(x) for x in range(1 << v.m)]
+        assert table == [reference_value(v, x) * view.denom for x in range(1 << v.m)]
+
+
 def test_value_mask_is_each_familys_fraction_formula():
     oracles = every_oracle()
     assert {type(v).__name__ for v in oracles} >= {
@@ -485,14 +501,18 @@ def own_submodular(v: ValuationOracle) -> CheckResult:
     return CheckResult(True, "exhaustive", checked)
 
 
-def assert_checkers_match(v: ValuationOracle) -> None:
+def assert_checkers_match(v: ValuationOracle) -> list[CheckResult]:
+    """The references' results, once the checkers are seen to give the same."""
     def fields(c: CheckResult):
         return (c.ok, c.mode, c.checked, c.witness)
 
-    assert fields(is_monotone(v)) == fields(own_monotone(v))
-    assert fields(is_subadditive(v)) == fields(own_subadditive(v))
+    own = [own_monotone(v), own_subadditive(v)]
+    assert fields(is_monotone(v)) == fields(own[0])
+    assert fields(is_subadditive(v)) == fields(own[1])
     if v.m <= 13:
-        assert fields(is_submodular(v)) == fields(own_submodular(v))
+        own.append(own_submodular(v))
+        assert fields(is_submodular(v)) == fields(own[2])
+    return own
 
 
 def broken_callables() -> list[ValuationOracle]:
@@ -545,3 +565,33 @@ def test_structured_checkers_match_fraction_scans():
         v = BundleMaxValuation(17, bundles, tables)
         assert_checkers_match(v)
         assert is_monotone(v).ok and not is_subadditive(v).ok
+
+
+def perturbed_tables(count: int):
+    """Seeded callable-backed set functions at 1 to 8 items: one in four is a
+    submodular random oracle's table as it is, the rest have one to four
+    entries moved by a nonzero rational, which can break any of the three
+    classes (a third of all tables stay submodular)."""
+    for i in range(count):
+        rng = random.Random(f"perturbed:{i}")
+        m = rng.choices(range(1, 9), weights=(0.3, 1, 6, 7, 4, 1.2, 0.25, 0.1))[0]
+        base = random_valuation(rng.choice(("additive", "budget-additive", "coverage")), m, i)
+        table = [base.value_mask(x) for x in range(1 << m)]
+        if i % 4:
+            for _ in range(rng.randint(1, 4)):
+                x = rng.randrange(1, 1 << m)
+                table[x] = max(Fraction(0), table[x] + rng.choice((-1, 1)) * _frac(rng) - Fraction(1, 7))
+        yield ValuationOracle(m, fn=lambda s, t=table: t[s.mask])
+
+
+def test_checkers_match_fraction_scans_on_perturbed_tables():
+    results = []
+    for v in perturbed_tables(2000):
+        monotone, subadditive, submodular = assert_checkers_match(v)
+        # the local form alone decides submodularity, ties included
+        assert _locally_submodular(_dense_ints(v), v.m) == submodular.ok
+        results.append((monotone.ok, subadditive.ok, submodular.ok, v.m))
+    assert 500 <= sum(r[2] for r in results) <= 800
+    assert sum(not r[0] for r in results) >= 500
+    assert sum(r[1] and not r[2] for r in results) >= 100
+    assert {r[3] for r in results} == set(range(1, 9))

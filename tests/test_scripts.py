@@ -32,3 +32,12 @@ def test_grid_eps_sweep_finds_no_allocation_inside_the_gap():
     assert len(lines) == 5
     assert lines[0].startswith("eps =     0: allocations exist")
     assert all("no allocation" in line for line in lines[1:])
+
+
+def test_bench_summary_reads_medians_quartiles_and_wins():
+    proc = run_script("bench_summary.py", str(ROOT / "BENCH_18.json"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[lines.index("partition seed 1: 6 pairs") + 4] == (
+        "  cpu_ms_per_op   4.617 [4.487, 4.673] → 4.030 ms  wins 4/6  within bound 0.25"
+    )
